@@ -206,7 +206,7 @@ def resolve_model(args) -> tuple[LindbladModel, dict]:
     dim_or_grid = None
     if getattr(args, "grid", None):
         dim_or_grid = _parse_grid(args.grid)
-    elif getattr(args, "dim", None):
+    elif getattr(args, "dim", None) is not None:
         dim_or_grid = int(args.dim)
     spec = ModelSpec(args.model, params, dim_or_grid)
     model = catalog_model(spec)
@@ -247,16 +247,19 @@ def resolve_state(token: str, model: LindbladModel, pure_required: bool = False)
             raise PpsdLabError("this command requires a pure state")
         return DensityMatrix.maximally_mixed(d)
     if token.startswith("basis:") or token.startswith("fock:"):
-        idx = int(token.split(":", 1)[1])
+        try:
+            idx = int(token.split(":", 1)[1])
+        except ValueError as exc:
+            raise PpsdLabError(f"state {token!r} needs an integer index") from exc
         if not 0 <= idx < d:
             raise PpsdLabError(f"basis index {idx} out of range for dim {d}")
         return StateVector.basis(d, idx)
     if token.startswith("coherent:"):
-        parts = token.split(":", 1)[1].split(",")
-        alpha = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
-        return coherent_state(alpha, d)
+        return coherent_state(complex(*_state_numbers(token, (1, 2), "re[,im]")), d)
     if token.startswith("gaussian:"):
-        x0, sigma = (float(x) for x in token.split(":", 1)[1].split(","))
+        x0, sigma = _state_numbers(token, (2,), "x0,sigma")
+        if not sigma > 0:
+            raise PpsdLabError(f"state {token!r} needs sigma > 0")
         note = model.basis_note
         if "grid" not in note:
             raise PpsdLabError("gaussian states are for grid models")
@@ -283,6 +286,18 @@ def resolve_state(token: str, model: LindbladModel, pure_required: bool = False)
             return DensityMatrix(_pairs_to_matrix(obj["matrix"]))
         raise PpsdLabError("state file needs 'amplitudes' (or 'matrix')")
     raise PpsdLabError(f"unknown state token {token!r}")
+
+
+def _state_numbers(token: str, counts: tuple[int, ...], form: str) -> list[float]:
+    """The finite comma-separated numbers after the colon of a state token."""
+    try:
+        values = [float(x) for x in token.split(":", 1)[1].split(",")]
+    except ValueError:
+        values = []
+    if len(values) not in counts or not all(math.isfinite(v) for v in values):
+        prefix = token.split(":", 1)[0]
+        raise PpsdLabError(f"state {token!r} is not {prefix}:{form} with finite numbers")
+    return values
 
 
 def _grid_points_from_note(model: LindbladModel) -> np.ndarray:

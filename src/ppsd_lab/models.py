@@ -276,12 +276,25 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
     p = _resolve_params(name, spec.params)
     sx, sy, sz, sp, sm = pauli_operators()
 
-    def qubit_dim():
-        if spec.dim_or_grid not in (None, 2):
-            raise DimensionMismatch(f"{name} is a qubit model (dim 2)")
+    def fixed_dim(dim: int) -> int:
+        if spec.dim_or_grid not in (None, dim):
+            raise DimensionMismatch(f"{name} has dim {dim}, got {spec.dim_or_grid}")
+        return dim
+
+    def fock_dim() -> int:
+        if isinstance(spec.dim_or_grid, GridSpec):
+            raise DimensionMismatch(f"{name} takes a dimension, not a grid")
+        return int(p["dim"] if spec.dim_or_grid is None else spec.dim_or_grid)
+
+    def grid_spec() -> GridSpec:
+        if spec.dim_or_grid is None:
+            return DEFAULT_GRID
+        if not isinstance(spec.dim_or_grid, GridSpec):
+            raise DimensionMismatch(f"{name} takes a grid, not a dimension")
+        return spec.dim_or_grid
 
     if name == "dephasing_qubit":
-        qubit_dim()
+        fixed_dim(2)
         gamma = _require_rate(p["gamma"], "gamma")
         return LindbladModel(
             hamiltonian=Operator(np.zeros((2, 2))),
@@ -293,7 +306,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "position_decoherence":
-        grid = spec.dim_or_grid if isinstance(spec.dim_or_grid, GridSpec) else DEFAULT_GRID
+        grid = grid_spec()
         gamma = _require_rate(p["gamma"], "gamma")
         # Rate 2*gamma with jump operator x gives the entrywise decay
         # exp(-gamma t (x - x')^2), the convention of position_closed_form.
@@ -308,7 +321,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "thermal_qubit":
-        qubit_dim()
+        fixed_dim(2)
         tp = ThermalParams(p["gamma0"], p["N"])
         terms = []
         if tp.N > 0:
@@ -324,7 +337,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "damped_oscillator":
-        dim = int(spec.dim_or_grid or p["dim"])
+        dim = fock_dim()
         tp = ThermalParams(p["gamma0"], p["N"])
         a, a_dag, n_op = fock_operators(dim)
         terms = [LindbladTerm(tp.gamma0 * (tp.N + 1.0), a)]
@@ -340,8 +353,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "three_level_atom":
-        if spec.dim_or_grid not in (None, 3):
-            raise DimensionMismatch("three_level_atom has dim 3")
+        fixed_dim(3)
         g1 = _require_rate(p["gamma1"], "gamma1")
         g2 = _require_rate(p["gamma2"], "gamma2")
         n1 = _require_rate(p["N1"], "N1")
@@ -371,7 +383,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         n_modes = int(p["n_modes"])
         mode_dim = int(p["mode_dim"])
         dims = [mode_dim] * n_modes
-        dim = mode_dim**n_modes
+        dim = fixed_dim(mode_dim**n_modes)
         a1, _, _ = fock_operators(mode_dim)
         terms = []
         for i in range(n_modes):
@@ -390,7 +402,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "phase_damped_oscillator":
-        dim = int(spec.dim_or_grid or p["dim"])
+        dim = fock_dim()
         gamma = _require_rate(p["gamma"], "gamma")
         _, _, n_op = fock_operators(dim)
         return LindbladModel(
@@ -402,7 +414,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "depolarizing":
-        qubit_dim()
+        fixed_dim(2)
         terms = []
         for key, op in (("gamma_x", sx), ("gamma_y", sy), ("gamma_z", sz)):
             rate = _require_rate(p[key], key)
@@ -418,7 +430,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "squeezed_vacuum_decay":
-        qubit_dim()
+        fixed_dim(2)
         gamma0 = _require_rate(p["gamma0"], "gamma0")
         r, theta = float(p["r"]), float(p["theta"])
         if r < 0:
@@ -434,7 +446,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "nonadiabatic_driven":
-        dim = int(spec.dim_or_grid or p["dim"])
+        dim = fock_dim()
         f_plus, f_minus = nonadiabatic_operators(
             p["m"], p["omega0"], p["kappa"], p["mu"], dim
         )
@@ -455,7 +467,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "walls_collet_milburn":
-        dim = int(spec.dim_or_grid or p["dim"])
+        dim = fock_dim()
         epsilon = float(p["epsilon"])
         gamma = float(p["gamma"])
         if gamma <= 0:
@@ -471,7 +483,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "grw":
-        grid = spec.dim_or_grid if isinstance(spec.dim_or_grid, GridSpec) else DEFAULT_GRID
+        grid = grid_spec()
         lam = _require_rate(p["lam"], "lam")
         alpha = float(p["alpha"])
         if alpha <= 0:
@@ -488,6 +500,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         )
 
     if name == "csl":
+        fixed_dim(16)
         lam = _require_rate(p["lam"], "lam")
         n_single = np.diag([0.0, 1.0]).astype(complex)
         dims = [2, 2, 2, 2]  # 2 sites x 2 modes, occupation 0/1 each

@@ -1,10 +1,14 @@
 """Command-line surface: flags, formats, exit codes, reproduction targets."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppsd_lab import ModelSpec, build_liouvillian, catalog_model
 from ppsd_lab.cli import load_model, main, model_from_dict, model_to_dict, save_model
@@ -208,6 +212,78 @@ def test_check_dimension_mismatch_exits_two(capsys, tmp_path):
         "ppsd-check", "--model", "dephasing_qubit", "--state", f"file:{state}",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--model", "damped_oscillator", "--state", "coherent:abc"),
+        ("--model", "damped_oscillator", "--state", "basis:x"),
+        ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "gaussian:1"),
+        ("--model", "damped_oscillator", "--grid=-5,5,16"),
+        ("--model", "position_decoherence", "--dim", "8"),
+        ("--model", "grw", "--dim", "8"),
+        ("--model", "multimode", "--dim", "8"),
+        ("--model", "csl", "--dim", "8"),
+    ],
+    ids=lambda flags: " ".join(flags[1:]),
+)
+def test_invalid_state_or_dimension_exits_two_with_one_line(capsys, flags):
+    code, out, err = run_cli(capsys, "simulate", *flags, "--t-max", "1", "--steps", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _wrong_count(counts):
+    return (
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4)
+        .filter(lambda xs: len(xs) not in counts)
+        .map(lambda xs: ",".join(map(str, xs)))
+    )
+
+
+MALFORMED_STATE_TOKENS = st.one_of(
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(("coherent", "basis", "fock", "gaussian")),
+        st.text(alphabet="abxyz!?@ ,.", max_size=6),
+    ),
+    st.builds("coherent:{}".format, _wrong_count((1, 2))),
+    st.builds("gaussian:{}".format, _wrong_count((2,))),
+    st.builds("{}:{}.5".format, st.sampled_from(("basis", "fock")), st.integers(0, 9)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(token=MALFORMED_STATE_TOKENS)
+def test_malformed_state_tokens_exit_two(token):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["ppsd-check", "--model", "position_decoherence",
+                     "--grid=-5,5,16", "--state", token])
+    assert code == 2
+    assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+def test_simulate_d80_runs_the_exact_method_it_reports(capsys, monkeypatch):
+    import ppsd_lab.lindblad as lindblad
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("adaptive RK ran")
+
+    monkeypatch.setattr(lindblad, "solve_ivp", refuse)
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--model", "damped_oscillator", "--param", "N=0.483216",
+        "--dim", "80", "--state", "coherent:-0.159641,-1.12669",
+        "--t-max", "1.0", "--steps", "20",
+    )
+    assert code == 0
+    meta, header, rows = parse_csv(out)
+    assert meta["method"] == "exact_exponential"
+    assert len(rows) == 21
+    assert min(float(r[header.index("min_eigenvalue")]) for r in rows) > -1e-8
 
 
 def test_search_occupied_thermal_bath_reports_no_states(capsys):

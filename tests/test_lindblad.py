@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import ppsd_lab.lindblad as lindblad
 from ppsd_lab import (
     DensityMatrix,
     GridSpec,
@@ -16,10 +18,12 @@ from ppsd_lab import (
     StateVector,
     build_liouvillian,
     catalog_model,
+    coherent_state,
     dephasing_closed_form,
     is_unital,
     liouvillian_action,
     liouvillian_matrix,
+    liouvillian_norm,
     null_space_dimension,
     pauli_operators,
     position_closed_form,
@@ -85,6 +89,19 @@ def test_matrix_and_action_agree_row_major():
         np.testing.assert_allclose(
             via_matrix, liouvillian_action(model, rho), atol=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    DESK_MODELS
+    + [ModelSpec("damped_oscillator", {"N": 0.3, "dim": d}) for d in (24, 40)],
+    ids=lambda s: f"{s.name}-{s.params['dim']}" if "dim" in s.params else s.name,
+)
+def test_sparse_generator_matches_dense(spec):
+    model = catalog_model(spec)
+    dense = liouvillian_matrix(model)
+    assert np.abs(lindblad._sparse_generator(model).toarray() - dense).max() <= 1e-15
+    assert liouvillian_norm(model) == pytest.approx(np.linalg.norm(dense), rel=1e-14)
 
 
 def test_negative_rate_rejected():
@@ -233,6 +250,78 @@ def test_exact_and_rk_methods_agree(spec):
     rk = propagate(model, rho0, times, method="adaptive_rk")
     for a, b in zip(exact.states, rk.states):
         assert np.abs(a.matrix - b.matrix).max() < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# sparse propagation above DENSE_GENERATOR_MAX_DIM
+# ---------------------------------------------------------------------------
+
+#: Every grid lies on multiples of STEP, so one dense expm(STEP L) is the
+#: oracle for all of them: uniform, non-uniform (with a repeated time), a
+#: single time point, and one that starts at t0 > 0, long against its span.
+#: The last catches a [0, t0] leg applied twice, and one taken with the
+#: scaling chosen for the span (5e-9 off at d = 24).
+STEP = 0.1
+SPARSE_GRIDS = {
+    "uniform": np.linspace(0.0, 1.5, 16),
+    "non_uniform": np.array([0.0, 0.1, 0.3, 0.3, 0.7, 1.5]),
+    "late_start": np.linspace(1.2, 1.5, 4),
+    "single": np.array([0.7]),
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}),
+        ModelSpec("damped_oscillator", {"N": 0.3, "dim": 40}),
+        ModelSpec("nonadiabatic_driven", {"dim": 24}),
+        ModelSpec("multimode", {"n_modes": 2, "mode_dim": 5, "N_1": 0.2, "N_2": 0.4}),
+    ],
+    ids=lambda s: f"{s.name}-{s.params.get('dim', s.params.get('mode_dim'))}",
+)
+def test_sparse_propagation_matches_dense_expm(spec):
+    model = catalog_model(spec)
+    d = model.dim
+    assert d > lindblad.DENSE_GENERATOR_MAX_DIM
+    rho0 = random_density(np.random.default_rng(d), d)
+    step = expm(liouvillian_matrix(model) * STEP)
+    oracle = [rho0.matrix.reshape(-1)]
+    for _ in range(15):
+        oracle.append(step @ oracle[-1])
+    for name, times in SPARSE_GRIDS.items():
+        traj = propagate(model, rho0, times)
+        for t, state in zip(times, traj.states):
+            expected = oracle[round(t / STEP)].reshape(d, d)
+            err = np.abs(state.matrix - expected).max()
+            assert err < 1e-12, (name, t, err)
+
+
+def test_sparse_propagation_ignores_the_global_random_state():
+    # expm_multiply's norm estimates draw from numpy's global generator;
+    # reruns must still give the same bytes
+    model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}))
+    rho0 = DensityMatrix.from_state(coherent_state(0.6 - 0.4j, 24))
+    runs = []
+    for seed in (0, 1, 2):
+        np.random.seed(seed)
+        runs.append(np.array([s.matrix for s in propagate(model, rho0, np.linspace(0, 1.5, 31)).states]))
+    assert all(np.array_equal(runs[0], r) for r in runs[1:])
+
+
+def test_large_non_diagonal_run_stays_exact_and_sparse(monkeypatch):
+    # the former d = 80 DOP853 fallback tripped the negativity gate here
+    model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.483216, "dim": 80}))
+    rho0 = DensityMatrix.from_state(coherent_state(-0.159641 - 1.12669j, 80))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("dense generator or RK integrator used")
+
+    for name in ("solve_ivp", "expm", "liouvillian_matrix"):
+        monkeypatch.setattr(lindblad, name, refuse)
+    traj = propagate(model, rho0, np.linspace(0.0, 1.0, 21))
+    assert min(np.linalg.eigvalsh(s.matrix).min() for s in traj.states) > -1e-12
+    assert liouvillian_norm(model) > 0
 
 
 # ---------------------------------------------------------------------------
