@@ -264,7 +264,11 @@ def resolve_state(token: str, model: LindbladModel, pure_required: bool = False)
         if "grid" not in note:
             raise PpsdLabError("gaussian states are for grid models")
         x = _grid_points_from_note(model)
-        return StateVector.normalized(np.exp(-((x - x0) ** 2) / (4.0 * sigma**2)))
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return StateVector.normalized(np.exp(-((x - x0) ** 2) / (4.0 * sigma**2)))
+        except (OverflowError, FloatingPointError) as exc:
+            raise PpsdLabError(f"state {token!r} is out of floating-point range") from exc
     if token == "squeezed_candidate":
         if model.label != "squeezed_vacuum_decay":
             raise PpsdLabError("squeezed_candidate applies to squeezed_vacuum_decay")
@@ -398,7 +402,7 @@ def cmd_simulate(args) -> int:
             float(t),
             float(pur),
             abs(float(m.trace().real) - 1.0),
-            float(np.linalg.eigvalsh(m).min()),
+            st.min_eigenvalue,
         ]
         if bloch:
             row += [

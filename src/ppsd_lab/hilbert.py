@@ -27,7 +27,8 @@ POSITIVITY_TOL = 1e-10
 #: Default Fock-space truncation used by the bosonic catalog models.
 DEFAULT_FOCK_DIM = 40
 
-#: Population allowed on the top truncated level of a coherent state.
+#: Population allowed on the top truncated level of a coherent state, and
+#: beyond the cutoff.
 COHERENT_LEAKAGE_TOL = 1e-10
 
 
@@ -109,12 +110,18 @@ class DensityMatrix:
     """A mixed state: Hermitian, unit trace, positive semidefinite.
 
     ``eig_tol`` is the slack allowed on the minimum eigenvalue; the default
-    -1e-10 suits freshly constructed states, while long propagations validate
-    at their own (looser) gate.
+    -1e-10 suits freshly constructed states.  An infinite ``eig_tol`` skips
+    the positivity check, for callers such as the propagation gate that
+    judge ``min_eigenvalue`` against a gate of their own.
+
+    ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian part
+    (rho + rho^dag)/2, computed once at construction and read-only; read it
+    instead of diagonalising ``matrix`` again.
     """
 
     matrix: np.ndarray
     eig_tol: float = field(default=POSITIVITY_TOL, compare=False)
+    min_eigenvalue: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
@@ -132,6 +139,7 @@ class DensityMatrix:
                 f"density matrix has eigenvalue {min_eig:.3e} below -{abs(self.eig_tol):.1e}"
             )
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "min_eigenvalue", min_eig)
         self.matrix.setflags(write=False)
 
     @classmethod
@@ -263,27 +271,40 @@ def fock_operators(dim: int) -> tuple[Operator, Operator, Operator]:
 def coherent_state(alpha: complex, dim: int = DEFAULT_FOCK_DIM) -> StateVector:
     """Truncated coherent state with amplitudes ~ alpha^n / sqrt(n!).
 
-    Guards against truncation leakage: the (untruncated) Poisson weight of
-    the top level must stay below 1e-10, otherwise the requested dimension
-    cannot faithfully host the state and TruncationInsufficient is raised.
+    Guards against truncation leakage.  Under the untruncated state's
+    Poisson(|alpha|^2) occupation law, the weight of the top level and the
+    weight beyond the cutoff, P(n >= dim), must both stay below
+    COHERENT_LEAKAGE_TOL; otherwise the requested dimension cannot
+    faithfully host the state and TruncationInsufficient is raised.  The
+    weights are evaluated in log space, so every finite alpha is either
+    accepted or refused with TruncationInsufficient, never overflows.
     """
     if dim < 2:
         raise InvariantViolation("coherent_state requires dim >= 2")
     alpha = complex(alpha)
-    mod2 = abs(alpha) ** 2
-    if mod2 > 0:
-        # log of the Poisson weight e^{-|a|^2} |a|^{2(dim-1)} / (dim-1)!
-        log_top = -mod2 + (dim - 1) * math.log(mod2) - math.lgamma(dim)
-        if log_top > math.log(COHERENT_LEAKAGE_TOL):
-            raise TruncationInsufficient(
-                f"top-level population exp({log_top:.2f}) exceeds "
-                f"{COHERENT_LEAKAGE_TOL:.0e}; increase dim for alpha={alpha}"
-            )
-    n = np.arange(dim)
-    log_fact = np.array([math.lgamma(k + 1) for k in n])
     if alpha == 0:
         return StateVector.basis(dim, 0)
-    log_mod = n * math.log(abs(alpha)) - 0.5 * log_fact
+    try:
+        log_abs = math.log(abs(alpha))
+    except OverflowError:
+        raise TruncationInsufficient(f"|alpha| overflows; no dim can host alpha={alpha}") from None
+    n = np.arange(dim)
+    log_fact = np.array([math.lgamma(k + 1) for k in n])
+    log_mod = n * log_abs - 0.5 * log_fact
+    # log Poisson weights e^{-|a|^2} |a|^{2n} / n! of the kept levels;
+    # |a|^2 may be inf, which makes every weight 0 and the tail 1.
+    log_weights = 2 * log_mod - abs(alpha) * abs(alpha)
+    if log_weights[-1] > math.log(COHERENT_LEAKAGE_TOL):
+        raise TruncationInsufficient(
+            f"top-level population exp({log_weights[-1]:.2f}) exceeds "
+            f"{COHERENT_LEAKAGE_TOL:.0e}; increase dim for alpha={alpha}"
+        )
+    tail = -math.expm1(np.logaddexp.reduce(log_weights))
+    if tail > COHERENT_LEAKAGE_TOL:
+        raise TruncationInsufficient(
+            f"population {tail:.3e} beyond the cutoff exceeds "
+            f"{COHERENT_LEAKAGE_TOL:.0e}; increase dim for alpha={alpha}"
+        )
     phases = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(log_mod - log_mod.max()) * phases
     return StateVector.normalized(amps)

@@ -185,8 +185,13 @@ def ppsd_residual(model: LindbladModel, psi) -> float:
     """
     v = psi.amplitudes if isinstance(psi, StateVector) else StateVector(psi).amplitudes
     _check_state_dim(model, v)
+    return _residual(_model_term_arrays(model), v)
+
+
+def _residual(terms, v: np.ndarray) -> float:
+    """R(v) from prebuilt (rate, L, L^dag L) triples; see ppsd_residual."""
     total = 0.0 + 0.0j
-    for rate, L, LdL in _model_term_arrays(model):
+    for rate, L, LdL in terms:
         mean = np.vdot(v, L @ v)
         total += rate * (np.vdot(v, LdL @ v) - mean * np.conj(mean))
     if abs(total.imag) > 1e-12:
@@ -347,7 +352,8 @@ def consistency_check(
         trace_distance(np.outer(p.amplitudes, p.amplitudes.conj()), s.matrix)
         for p, s in zip(pure_path, traj.states)
     )
-    max_resid = max(ppsd_residual(model, p) for p in pure_path)
+    terms = _model_term_arrays(model)
+    max_resid = max(_residual(terms, p.amplitudes) for p in pure_path)
     max_impurity = float(np.max(1.0 - traj.purities))
     stationary = is_stationary_state(model, psi0)
     if stationary:

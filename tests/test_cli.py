@@ -225,6 +225,10 @@ def test_check_dimension_mismatch_exits_two(capsys, tmp_path):
         ("--model", "grw", "--dim", "8"),
         ("--model", "multimode", "--dim", "8"),
         ("--model", "csl", "--dim", "8"),
+        ("--model", "damped_oscillator", "--dim", "16", "--state", "coherent:1e300"),
+        ("--model", "damped_oscillator", "--dim", "16", "--state", "coherent:1e10,1e10"),
+        ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "gaussian:0,1e300"),
+        ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "gaussian:1e300,1"),
     ],
     ids=lambda flags: " ".join(flags[1:]),
 )
@@ -243,6 +247,8 @@ def _wrong_count(counts):
     )
 
 
+HUGE = st.floats(1e10, 1.7e308).flatmap(lambda x: st.sampled_from((x, -x)))
+
 MALFORMED_STATE_TOKENS = st.one_of(
     st.builds(
         "{}:{}".format,
@@ -252,6 +258,12 @@ MALFORMED_STATE_TOKENS = st.one_of(
     st.builds("coherent:{}".format, _wrong_count((1, 2))),
     st.builds("gaussian:{}".format, _wrong_count((2,))),
     st.builds("{}:{}.5".format, st.sampled_from(("basis", "fock")), st.integers(0, 9)),
+    # huge finite magnitudes: refused by the truncation guard or out of
+    # floating-point range on the grid, never an overflow traceback
+    st.builds("coherent:{!r}".format, HUGE),
+    st.builds("coherent:{!r},{!r}".format, HUGE, HUGE),
+    st.builds("gaussian:{!r},{!r}".format, st.floats(-5, 5), st.floats(1.4e154, 1.7e308)),
+    st.builds("gaussian:{!r},{!r}".format, HUGE, st.floats(0.1, 10)),
 )
 
 
@@ -264,6 +276,60 @@ def test_malformed_state_tokens_exit_two(token):
                      "--grid=-5,5,16", "--state", token])
     assert code == 2
     assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+def _count_eigvalsh(monkeypatch) -> list:
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_simulate_diagonalises_each_state_once(capsys, monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--model", "position_decoherence", "--state", "gaussian:0.5,0.8",
+        "--t-max", "1", "--steps", "50",
+    )
+    assert code == 0
+    assert len(parse_csv(out)[2]) == 51
+    # the initial state plus one per row
+    assert len(calls) == 52
+
+
+def test_ppsd_check_diagonalises_each_state_once(capsys, monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    code, _, _ = run_cli(
+        capsys,
+        "ppsd-check", "--model", "position_decoherence", "--grid=-5,5,32",
+        "--state", "gaussian:0.5,0.8",
+    )
+    assert code == 0
+    # the initial state, then per point of the 41-point consistency grid one
+    # propagated state and one trace distance
+    assert len(calls) == 1 + 2 * 41
+
+
+def test_simulate_exits_three_on_negativity_beyond_the_gate(capsys, monkeypatch):
+    import ppsd_lab.lindblad as lindblad
+
+    c, s = math.cos(0.4), math.sin(0.4)
+    u = np.array([[c, -1j * s], [-1j * s, c]])
+    bad = u @ np.diag([1 + 5e-8, -5e-8]) @ u.conj().T
+    monkeypatch.setattr(lindblad, "_propagate_exact", lambda _m, _r, times: [bad] * len(times))
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "thermal_qubit", "--state", "plus",
+        "--t-max", "1", "--steps", "2",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: negativity -5.000e-08 at t=0.0\n"
 
 
 def test_simulate_d80_runs_the_exact_method_it_reports(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Hilbert-space primitives: operators, states, and standard constructions."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ from ppsd_lab import (
     variance,
 )
 from ppsd_lab.errors import DimensionMismatch
+
+
+def test_density_matrix_min_eigenvalue_is_its_spectrum_bound():
+    rng = np.random.default_rng(5)
+    for dim in (2, 5, 16):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = a @ a.conj().T
+        m = (m + m.conj().T) / (2 * m.trace().real)
+        rho = DensityMatrix(m)
+        assert rho.min_eigenvalue == np.linalg.eigvalsh(m).min()
+        with pytest.raises(FrozenInstanceError):
+            rho.min_eigenvalue = 0.0
+    with pytest.raises(TypeError):
+        DensityMatrix(m, min_eigenvalue=0.0)
 
 
 def test_purity_maximally_mixed():
@@ -179,6 +194,17 @@ def test_coherent_state_zero_displacement_is_vacuum():
 def test_coherent_state_truncation_guard():
     with pytest.raises(TruncationInsufficient):
         coherent_state(5.0, 10)
+
+
+def test_coherent_state_refuses_weight_beyond_the_cutoff():
+    # Poisson(|alpha|^2) mass sits wholly above n = 15: the top level's
+    # weight is tiny, the weight beyond the cutoff is 1.
+    for alpha in (10.0, 1e10 + 1e10j, 1e300, 1.7e308 + 1.7e308j):
+        with pytest.raises(TruncationInsufficient):
+            coherent_state(alpha, 16)
+    # the largest moduli the benchmark draws (1 at d <= 16, 1.5 above)
+    for alpha, dim in ((1.0, 16), (-1.5j, 24)):
+        assert coherent_state(alpha, dim).dim == dim
 
 
 def test_coherent_state_eigenrelation_where_guard_passes():

@@ -10,6 +10,7 @@ import ppsd_lab.lindblad as lindblad
 from ppsd_lab import (
     DensityMatrix,
     GridSpec,
+    IntegrationFailure,
     InvariantViolation,
     LindbladModel,
     LindbladTerm,
@@ -374,3 +375,31 @@ def test_unital_models_never_gain_purity(spec):
     else:
         traj = propagate(model, DensityMatrix.maximally_mixed(model.dim), times)
         assert traj.purities.max() > traj.purities[0] + 1e-6
+
+
+def _gate_input(min_eig):
+    """Hermitian, unit-trace 3x3 matrix with smallest eigenvalue min_eig."""
+    c, s = math.cos(0.7), math.sin(0.7)
+    u = np.array([[c, -1j * s, 0], [-1j * s, c, 0], [0, 0, 1]]) @ np.array(
+        [[1, 0, 0], [0, c, s], [0, -s, c]]
+    )
+    m = u @ np.diag([0.6 - min_eig, 0.4, min_eig]) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_propagation_gate_rejects_negativity_beyond_1e_8():
+    with pytest.raises(IntegrationFailure) as exc:
+        lindblad._validated_state(_gate_input(-5e-8), 0.25)
+    assert str(exc.value) == "negativity -5.000e-08 at t=0.25"
+
+
+def test_propagation_gate_passes_negativity_below_1e_8_and_keeps_it():
+    state = lindblad._validated_state(_gate_input(-5e-9), 0.25)
+    assert state.min_eigenvalue == pytest.approx(-5e-9, abs=1e-15)
+    assert state.min_eigenvalue == np.linalg.eigvalsh(state.matrix).min()
+    assert state.matrix.trace().real == pytest.approx(1.0, abs=1e-15)
+
+
+def test_propagation_gate_rejects_trace_error_beyond_1e_8():
+    with pytest.raises(IntegrationFailure, match="trace error 2.000e-08 at t=1.0"):
+        lindblad._validated_state(_gate_input(0.0) * (1 + 2e-8), 1.0)

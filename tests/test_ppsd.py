@@ -247,6 +247,9 @@ def test_consistency_thermal_occupied_bath_never_ppsd():
         report = consistency_check(model, psi, t_max=1.0, n_steps=20)
         assert report.verdict == "no_ppsd"
         assert report.residual >= floor - 1e-9
+        # bitwise the largest ppsd_residual along the pure path
+        path = evolve_pure_nonlinear(model, psi, np.linspace(0.0, 1.0, 21))
+        assert report.residual == max(ppsd_residual(model, p) for p in path)
 
 
 def test_stationary_state_has_tiny_consistency_gap():
