@@ -228,6 +228,7 @@ def resolve_state(token: str, model: LindbladModel, pure_required: bool = False)
     otherwise.
     """
     d = model.dim
+    on_grid = "grid" in model.basis_note
     inv = 1.0 / math.sqrt(2.0)
     if token == "plus" or token == "minus":
         if d < 2:
@@ -253,15 +254,19 @@ def resolve_state(token: str, model: LindbladModel, pure_required: bool = False)
             raise PpsdLabError(f"state {token!r} needs an integer index") from exc
         if not 0 <= idx < d:
             raise PpsdLabError(f"basis index {idx} out of range for dim {d}")
+        if on_grid and token.startswith("fock:"):
+            raise PpsdLabError("fock states are not for grid models; use basis:i")
         return StateVector.basis(d, idx)
     if token.startswith("coherent:"):
-        return coherent_state(complex(*_state_numbers(token, (1, 2), "re[,im]")), d)
+        alpha = complex(*_state_numbers(token, (1, 2), "re[,im]"))
+        if on_grid:
+            raise PpsdLabError("coherent states are not for grid models")
+        return coherent_state(alpha, d)
     if token.startswith("gaussian:"):
         x0, sigma = _state_numbers(token, (2,), "x0,sigma")
         if not sigma > 0:
             raise PpsdLabError(f"state {token!r} needs sigma > 0")
-        note = model.basis_note
-        if "grid" not in note:
+        if not on_grid:
             raise PpsdLabError("gaussian states are for grid models")
         x = _grid_points_from_note(model)
         try:

@@ -167,13 +167,17 @@ def ppsd_residual_terms(model: LindbladModel, psi) -> np.ndarray:
     """
     v = psi.amplitudes if isinstance(psi, StateVector) else StateVector(psi).amplitudes
     _check_state_dim(model, v)
-    vals = []
-    for rate, L, _ in _model_term_arrays(model):
-        Lv = L @ v
-        mean = np.vdot(v, Lv)
-        second = np.vdot(Lv, Lv).real
-        vals.append(rate * (second - abs(mean) ** 2))
-    return np.asarray(vals, dtype=float)
+    return np.asarray(
+        [_term_residual(rate, L, v) for rate, L, _ in _model_term_arrays(model)],
+        dtype=float,
+    )
+
+
+def _term_residual(rate, L, v: np.ndarray):
+    """gamma (<L^dag L> - |<L>|^2) at unit v, with <L^dag L> taken as ||L v||^2."""
+    Lv = L @ v
+    mean = np.vdot(v, Lv)
+    return rate * (np.vdot(Lv, Lv).real - abs(mean) ** 2)
 
 
 def ppsd_residual(model: LindbladModel, psi) -> float:
@@ -388,29 +392,39 @@ def _thread_count() -> int:
     return n
 
 
-def _residual_and_grad(terms, v):
-    """Residual and its Wirtinger gradient d R / d conj(psi) at unit psi."""
+def _residual_value(terms, v):
+    """Residual at unit psi, summed term by term in order (no gradient)."""
     val = 0.0
+    for rate, L, _ in terms:
+        val += _term_residual(rate, L, v)
+    return val
+
+
+def _residual_grad(terms, v):
+    """Wirtinger gradient d R / d conj(psi) of the residual at unit psi."""
     grad = np.zeros_like(v)
     for rate, L, LdL in terms:
         Lv = L @ v
         Ldv = L.conj().T @ v
         mean = np.vdot(v, Lv)
         second = np.vdot(Lv, Lv).real
-        val += rate * (second - abs(mean) ** 2)
         grad += rate * (
             LdL @ v
             - np.conj(mean) * Lv
             - mean * Ldv
             + (2 * abs(mean) ** 2 - second) * v
         )
-    return val, grad
+    return grad
 
 
 def _polish_on_sphere(terms, v, max_iter: int = 400):
-    """Projected-gradient descent with backtracking on the unit sphere."""
+    """Projected-gradient descent with Armijo backtracking on the unit sphere.
+
+    Trial points are judged by value alone; the gradient is computed only at
+    the start point and at each accepted point.
+    """
     v = v / np.linalg.norm(v)
-    val, grad = _residual_and_grad(terms, v)
+    val, grad = _residual_value(terms, v), _residual_grad(terms, v)
     step = 1.0
     for _ in range(max_iter):
         rgrad = grad - np.vdot(v, grad) * v
@@ -421,9 +435,9 @@ def _polish_on_sphere(terms, v, max_iter: int = 400):
         while step > 1e-14:
             cand = v - step * rgrad
             cand = cand / np.linalg.norm(cand)
-            cand_val, cand_grad = _residual_and_grad(terms, cand)
+            cand_val = _residual_value(terms, cand)
             if cand_val < val - 0.25 * step * gn2:
-                v, val, grad = cand, cand_val, cand_grad
+                v, val, grad = cand, cand_val, _residual_grad(terms, cand)
                 step = min(step * 2.0, 1e6)
                 improved = True
                 break
@@ -446,7 +460,7 @@ def _mean_field_refine(terms, v, max_iter: int = 12):
     d = v.shape[0]
     eye = np.eye(d, dtype=complex)
     slack = 1e-14 * sum(rate * np.linalg.norm(L) ** 2 for rate, L, _ in terms)
-    best_val, _ = _residual_and_grad(terms, v)
+    best_val = _residual_value(terms, v)
     best_v = v
     for _ in range(max_iter):
         K = np.zeros((d, d), dtype=complex)
@@ -460,7 +474,7 @@ def _mean_field_refine(terms, v, max_iter: int = 12):
             )
         _, vecs = np.linalg.eigh(K)
         v_new = vecs[:, 0]
-        val_new, _ = _residual_and_grad(terms, v_new)
+        val_new = _residual_value(terms, v_new)
         if val_new < best_val + slack:
             best_val, best_v = min(val_new, best_val), v_new
         if abs(1.0 - abs(np.vdot(v_new, v)) ** 2) < 1e-28:
@@ -543,10 +557,19 @@ def _default_consistency_horizon(model: LindbladModel) -> float:
 def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> list[PpsdReport]:
     """Search the unit sphere for zero-residual pure states.
 
-    Each seeded restart runs derivative-free Nelder-Mead on the real/imaginary
-    coordinates of an unnormalized state (the residual is evaluated on the
-    normalized vector, removing the scale gauge), followed by a
-    projected-gradient polish on the sphere.  Minima with residual below
+    Each seeded restart runs three stages:
+
+      1. Nelder-Mead on the real/imaginary coordinates of an unnormalized
+         state, with the residual evaluated on the normalized vector
+         (removing the scale gauge); it reads residual values only and
+         evaluates no gradient;
+      2. a projected-gradient polish on the sphere with Armijo backtracking;
+         trial points are judged by value, and the gradient is evaluated
+         only at the start point and at each accepted point;
+      3. a mean-field refinement (smallest eigenvector of the mean-field
+         operator K(psi), iterated), which evaluates residual values only.
+
+    Minima with residual below
     ``residual_tol * residual_scale(model)`` are kept, phase-gauge-fixed,
     merged deterministically by (residual, lexicographic amplitudes), and
     deduplicated: any two reported states have pairwise fidelity below
@@ -577,8 +600,7 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
         nrm = np.linalg.norm(v)
         if nrm == 0.0:
             return scale
-        val, _ = _residual_and_grad(terms, v / nrm)
-        return val
+        return _residual_value(terms, v / nrm)
 
     def run_restart(x0):
         res = minimize(

@@ -229,6 +229,8 @@ def test_check_dimension_mismatch_exits_two(capsys, tmp_path):
         ("--model", "damped_oscillator", "--dim", "16", "--state", "coherent:1e10,1e10"),
         ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "gaussian:0,1e300"),
         ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "gaussian:1e300,1"),
+        ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "coherent:1"),
+        ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "fock:3"),
     ],
     ids=lambda flags: " ".join(flags[1:]),
 )
@@ -237,6 +239,14 @@ def test_invalid_state_or_dimension_exits_two_with_one_line(capsys, flags):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_basis_token_valid_on_grid_models(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--model", "position_decoherence", "--grid=-5,5,16",
+        "--state", "basis:3", "--t-max", "1", "--steps", "2",
+    )
+    assert code == 0 and out
 
 
 def _wrong_count(counts):

@@ -29,6 +29,7 @@ from ppsd_lab import (
     unraveling_check,
     variance,
 )
+from ppsd_lab import ppsd
 from ppsd_lab.errors import DimensionMismatch
 
 DEPHASING = ModelSpec("dephasing_qubit", {"gamma": 1.0})
@@ -122,6 +123,46 @@ def test_multimode_residual_decomposes_per_term():
         terms = ppsd_residual_terms(model, psi)
         assert terms.min() >= -1e-12
         assert terms.sum() == pytest.approx(ppsd_residual(model, psi), abs=1e-12)
+
+
+GRADIENT_SPECS = (
+    ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.3}),
+    ModelSpec("three_level_atom", {}),
+    ModelSpec("csl", {}),
+    ModelSpec("squeezed_vacuum_decay", {}),
+    ModelSpec("walls_collet_milburn", {"dim": 10}),
+)
+
+
+@pytest.mark.parametrize("spec", GRADIENT_SPECS, ids=lambda s: s.name)
+def test_residual_gradient_matches_central_difference(spec):
+    # along the great circle (psi + eps delta)/|psi + eps delta| with delta
+    # tangent at psi, dR/deps = 2 Re <grad, delta> for the Wirtinger gradient
+    model = catalog_model(spec)
+    terms = ppsd._model_term_arrays(model)
+    rng = np.random.default_rng(41)
+    eps = 1e-6
+    for _ in range(3):
+        v = random_state(rng, model.dim).amplitudes
+        delta = random_state(rng, model.dim).amplitudes
+        delta = delta - np.vdot(v, delta) * v
+        along = [ppsd_residual(model, StateVector.normalized(v + s * delta)) for s in (eps, -eps)]
+        numeric = (along[0] - along[1]) / (2 * eps)
+        analytic = 2 * np.vdot(ppsd._residual_grad(terms, v), delta).real
+        assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
+
+
+@pytest.mark.parametrize("spec", GRADIENT_SPECS, ids=lambda s: s.name)
+def test_residual_value_is_in_order_sum_of_terms(spec):
+    model = catalog_model(spec)
+    terms = ppsd._model_term_arrays(model)
+    rng = np.random.default_rng(42)
+    for _ in range(5):
+        psi = random_state(rng, model.dim)
+        running = 0.0
+        for term in ppsd_residual_terms(model, psi):
+            running += term
+        assert ppsd._residual_value(terms, psi.amplitudes) == running
 
 
 def test_multimode_zero_total_requires_zero_occupation():
@@ -349,6 +390,34 @@ def test_search_result_independent_of_thread_cap(monkeypatch):
     assert len(serial) == len(threaded)
     for a, b in zip(serial, threaded):
         np.testing.assert_array_equal(a.state.amplitudes, b.state.amplitudes)
+
+
+def test_search_nelder_mead_stage_evaluates_no_gradient(monkeypatch):
+    inside = []
+    grad_calls = []
+    minimize, grad = ppsd.minimize, ppsd._residual_grad
+
+    def nelder_mead(*args, **kwargs):
+        inside.append(True)
+        try:
+            return minimize(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def guarded_grad(*args):
+        if inside:
+            raise AssertionError("gradient evaluated inside Nelder-Mead")
+        grad_calls.append(1)
+        return grad(*args)
+
+    monkeypatch.setenv("PPSD_LAB_THREADS", "1")
+    monkeypatch.setattr(ppsd, "minimize", nelder_mead)
+    monkeypatch.setattr(ppsd, "_residual_grad", guarded_grad)
+    model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.0}))
+    reports = ppsd_search(model, SearchConfig(n_restarts=16, seed=11))
+    assert grad_calls  # the polish stage still runs on gradients
+    assert len(reports) == 1 and reports[0].is_stationary
+    assert fidelity(reports[0].state, StateVector.basis(2, 1)) > 1.0 - 1e-10
 
 
 def test_thread_cap_validation(monkeypatch):
