@@ -78,7 +78,6 @@ class RunConfig:
     t_max: float
     n_steps: int
     method: str = "exact_exponential"
-    seed: int = 0
     output_path: str | None = None
     format: str = "csv"
 
@@ -387,7 +386,6 @@ def cmd_simulate(args) -> int:
         t_max=args.t_max,
         n_steps=args.steps,
         method=args.method,
-        seed=args.seed,
         output_path=args.output,
         format=args.format,
     )
@@ -422,7 +420,6 @@ def cmd_simulate(args) -> int:
             "t_max": config.t_max,
             "steps": config.n_steps,
             "method": config.method,
-            "seed": config.seed,
         }
     )
     emit(ResultRecord(meta, tuple(columns), rows), config.format, config.output_path)
@@ -781,7 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("exact_exponential", "adaptive_rk"),
         default="exact_exponential",
     )
-    p.add_argument("--seed", type=int, default=0)
     _add_output_flags(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -106,6 +107,54 @@ class LindbladModel:
     def jump_operators(self) -> tuple[np.ndarray, ...]:
         return tuple(t.op.matrix for t in self.terms)
 
+    def _rated_terms(self):
+        """(rate, L) for every nonzero-rate term, in model order; the one
+        place zero-rate terms are dropped."""
+        return [(t.rate, t.op.matrix) for t in self.terms if t.rate != 0.0]
+
+    @cached_property
+    def _dissipators(self) -> tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(rate, L, L^dag, L^dag L) for every nonzero-rate term, in model order.
+
+        The table every generator, residual and flow kernel reads.  It is
+        built on first use and cached on the (immutable) model; diagonal
+        models propagate through ``_diagonal_coefficients`` and never build
+        it, which matters for grid models whose many dense terms make
+        L^dag L costly.
+        """
+        table = []
+        for rate, L in self._rated_terms():
+            Ld = L.conj().T
+            LdL = Ld @ L
+            Ld.setflags(write=False)
+            LdL.setflags(write=False)
+            table.append((rate, L, Ld, LdL))
+        return tuple(table)
+
+    @cached_property
+    def _diagonal_coefficients(self) -> np.ndarray | None:
+        """Entrywise generator coefficients when H and every L are diagonal.
+
+        Dephasing-type models act entrywise on rho:
+        d rho_ij/dt = c_ij rho_ij.  Holds the (d, d) array c, or None when the
+        model has off-diagonal operator content.
+        """
+        mats = [self.hamiltonian.matrix] + [t.op.matrix for t in self.terms]
+        for m in mats:
+            if np.abs(m - np.diag(np.diag(m))).max() > 0.0:
+                return None
+        h = np.diag(self.hamiltonian.matrix)
+        c = -1j * np.subtract.outer(h, h)
+        for rate, L in self._rated_terms():
+            ell = np.diag(L)
+            abs2 = np.abs(ell) ** 2
+            c = c + rate * (
+                np.multiply.outer(ell, ell.conj())
+                - 0.5 * (abs2[:, None] + abs2[None, :])
+            )
+        c.setflags(write=False)
+        return c
+
 
 @dataclass(frozen=True)
 class Superoperator:
@@ -174,12 +223,8 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     eye = np.eye(d, dtype=complex)
     h = model.hamiltonian.matrix
     sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for term in model.terms:
-        if term.rate == 0.0:
-            continue
-        L = term.op.matrix
-        LdL = L.conj().T @ L
-        sup += term.rate * (
+    for rate, L, _, LdL in model._dissipators:
+        sup += rate * (
             np.kron(L, L.conj())
             - 0.5 * np.kron(LdL, eye)
             - 0.5 * np.kron(eye, LdL.T)
@@ -194,13 +239,10 @@ def _sparse_generator(model: LindbladModel) -> sparse.csr_array:
     eye = sparse.identity(d, dtype=complex, format="csr")
     h = sparse.csr_array(model.hamiltonian.matrix)
     sup = -1j * (sparse.kron(h, eye, format="csr") - sparse.kron(eye, h.T, format="csr"))
-    for term in model.terms:
-        if term.rate == 0.0:
-            continue
-        L = term.op.matrix
-        LdL = sparse.csr_array(L.conj().T @ L)
+    for rate, L, _, LdL in model._dissipators:
+        LdL = sparse.csr_array(LdL)
         L = sparse.csr_array(L)
-        sup = sup + term.rate * (
+        sup = sup + rate * (
             sparse.kron(L, L.conj(), format="csr")
             - 0.5 * sparse.kron(LdL, eye, format="csr")
             - 0.5 * sparse.kron(eye, LdL.T, format="csr")
@@ -224,13 +266,8 @@ def liouvillian_action(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     h = model.hamiltonian.matrix
     out = -1j * (h @ rho - rho @ h)
-    for term in model.terms:
-        if term.rate == 0.0:
-            continue
-        L = term.op.matrix
-        Ld = L.conj().T
-        LdL = Ld @ L
-        out += term.rate * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
+    for rate, L, Ld, LdL in model._dissipators:
+        out += rate * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
     return out
 
 
@@ -239,39 +276,9 @@ def liouvillian_adjoint_action(model: LindbladModel, x: np.ndarray) -> np.ndarra
     x = np.asarray(x, dtype=complex)
     h = model.hamiltonian.matrix
     out = 1j * (h @ x - x @ h)
-    for term in model.terms:
-        if term.rate == 0.0:
-            continue
-        L = term.op.matrix
-        Ld = L.conj().T
-        LdL = Ld @ L
-        out += term.rate * (Ld @ x @ L - 0.5 * (LdL @ x + x @ LdL))
+    for rate, L, Ld, LdL in model._dissipators:
+        out += rate * (Ld @ x @ L - 0.5 * (LdL @ x + x @ LdL))
     return out
-
-
-def _diagonal_coefficients(model: LindbladModel) -> np.ndarray | None:
-    """Entrywise generator coefficients when H and every L are diagonal.
-
-    Dephasing-type models act entrywise on rho:
-    d rho_ij/dt = c_ij rho_ij.  Returns the (d, d) array c, or None when the
-    model has off-diagonal operator content.
-    """
-    mats = [model.hamiltonian.matrix] + [t.op.matrix for t in model.terms]
-    for m in mats:
-        if np.abs(m - np.diag(np.diag(m))).max() > 0.0:
-            return None
-    h = np.diag(model.hamiltonian.matrix)
-    c = -1j * np.subtract.outer(h, h)
-    for term in model.terms:
-        if term.rate == 0.0:
-            continue
-        ell = np.diag(term.op.matrix)
-        abs2 = np.abs(ell) ** 2
-        c = c + term.rate * (
-            np.multiply.outer(ell, ell.conj())
-            - 0.5 * (abs2[:, None] + abs2[None, :])
-        )
-    return c
 
 
 def liouvillian_norm(model: LindbladModel) -> float:
@@ -281,7 +288,7 @@ def liouvillian_norm(model: LindbladModel) -> float:
     ones the stored entries of the sparse generator; only small models
     form the dense matrix, which is then the cheaper way.
     """
-    c = _diagonal_coefficients(model)
+    c = model._diagonal_coefficients
     if c is not None:
         return float(np.linalg.norm(c))
     if _use_sparse_generator(model):
@@ -291,7 +298,7 @@ def liouvillian_norm(model: LindbladModel) -> float:
 
 def stationarity_defect(model: LindbladModel, rho: np.ndarray) -> float:
     """|| L[rho] ||_F, the Frobenius norm of the generator applied to rho."""
-    c = _diagonal_coefficients(model)
+    c = model._diagonal_coefficients
     if c is not None:
         return float(np.linalg.norm(c * np.asarray(rho, dtype=complex)))
     return float(np.linalg.norm(liouvillian_action(model, rho)))
@@ -334,7 +341,7 @@ def _check_times(times) -> np.ndarray:
 
 
 def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
-    c = _diagonal_coefficients(model)
+    c = model._diagonal_coefficients
     if c is not None:
         return [rho0 * np.exp(c * t) for t in times]
     if _use_sparse_generator(model):
@@ -470,11 +477,10 @@ def stationary_states(model: LindbladModel, tol: float = 1e-10) -> list[DensityM
     """
     d = model.dim
     sup = liouvillian_matrix(model)
-    svals = np.linalg.svd(sup, compute_uv=False)
-    norm2 = float(svals[0])
+    _, s, vh = np.linalg.svd(sup)
+    norm2 = float(s[0])
     if norm2 == 0.0:
         return [DensityMatrix.maximally_mixed(d)]
-    _, s, vh = np.linalg.svd(sup)
     null_mask = s < tol * norm2
     if not np.any(null_mask):
         warnings.warn("no numerical null space detected for the generator")

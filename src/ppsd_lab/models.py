@@ -848,12 +848,12 @@ def hermitian_lindblad_fixed_points(model: LindbladModel) -> list[StateVector]:
     Raises InvariantViolation when a non-Hermitian jump operator is present;
     returns an empty list (with a warning) when the family does not commute.
     """
-    ops = [t.op.matrix for t in model.terms if t.rate > 0]
-    if not ops:
+    table = model._dissipators
+    if not table:
         return []
-    for L in ops:
-        if np.abs(L - L.conj().T).max() > 1e-12:
-            raise InvariantViolation("jump family contains a non-Hermitian operator")
+    if any(np.abs(L - Ld).max() > 1e-12 for _, L, Ld, _ in table):
+        raise InvariantViolation("jump family contains a non-Hermitian operator")
+    ops = [L for _, L, _, _ in table]
     scales = [max(np.abs(L).max(), 1e-300) for L in ops]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):

@@ -32,8 +32,9 @@ from .errors import (
     InvariantViolation,
     NormBlowUp,
 )
-from .hilbert import DensityMatrix, Operator, StateVector, purity
+from .hilbert import DensityMatrix, Operator, StateVector, _state_array, purity
 from .lindblad import (
+    _RK_OPTIONS,
     LindbladModel,
     liouvillian_action,
     liouvillian_adjoint_action,
@@ -56,7 +57,11 @@ VERDICT_PPSD = "ppsd_trajectory"
 VERDICT_STATIONARY = "stationary_only"
 VERDICT_NO_PPSD = "no_ppsd"
 
-_RK_OPTIONS = dict(method="DOP853", rtol=1e-10, atol=1e-12)
+#: Nelder-Mead iteration cap of each search restart.
+SEARCH_MAX_ITERATIONS = 400
+
+#: Two search hits are one state when their fidelity reaches this value.
+SEARCH_DEDUPE_FIDELITY = 0.999
 
 
 @dataclass(frozen=True)
@@ -93,18 +98,12 @@ class SearchConfig:
     n_restarts: int = 32
     seed: int = 0
     residual_tol: float = PPSD_RESIDUAL_RTOL
-    max_iterations: int = 400
-    dedupe_fidelity: float = 0.999
 
     def __post_init__(self):
         if self.n_restarts < 1:
             raise InvariantViolation("n_restarts must be positive")
         if self.residual_tol <= 0:
             raise InvariantViolation("residual_tol must be positive")
-        if self.max_iterations < 1:
-            raise InvariantViolation("max_iterations must be positive")
-        if not 0.0 < self.dedupe_fidelity < 1.0:
-            raise InvariantViolation("dedupe_fidelity must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -131,32 +130,22 @@ class HistoryChain:
 # ---------------------------------------------------------------------------
 
 
-def _model_term_arrays(model: LindbladModel):
-    """(rate, L, L^dag L) triples for all nonzero-rate terms."""
-    out = []
-    for term in model.terms:
-        if term.rate == 0.0:
-            continue
-        L = term.op.matrix
-        out.append((term.rate, L, L.conj().T @ L))
-    return out
-
-
 def residual_scale(model: LindbladModel) -> float:
     """sum_i gamma_i ||L_i||_2^2, the natural rate scale of the residual."""
     total = 0.0
-    for term in model.terms:
-        if term.rate == 0.0:
-            continue
-        total += term.rate * float(np.linalg.norm(term.op.matrix, 2)) ** 2
+    for rate, L, _, _ in model._dissipators:
+        total += rate * float(np.linalg.norm(L, 2)) ** 2
     return total
 
 
-def _check_state_dim(model: LindbladModel, v: np.ndarray):
+def _model_state(model: LindbladModel, psi) -> np.ndarray:
+    """Amplitudes of a StateVector or raw unit vector of the model's dimension."""
+    v = _state_array(psi)
     if v.shape[0] != model.dim:
         raise DimensionMismatch(
             f"state dim {v.shape[0]} does not match model dim {model.dim}"
         )
+    return v
 
 
 def ppsd_residual_terms(model: LindbladModel, psi) -> np.ndarray:
@@ -165,10 +154,9 @@ def ppsd_residual_terms(model: LindbladModel, psi) -> np.ndarray:
     Each entry is non-negative up to roundoff (Cauchy-Schwarz with
     gamma_i >= 0); the residual is their sum.
     """
-    v = psi.amplitudes if isinstance(psi, StateVector) else StateVector(psi).amplitudes
-    _check_state_dim(model, v)
+    v = _model_state(model, psi)
     return np.asarray(
-        [_term_residual(rate, L, v) for rate, L, _ in _model_term_arrays(model)],
+        [_term_residual(rate, L, v) for rate, L, _, _ in model._dissipators],
         dtype=float,
     )
 
@@ -184,23 +172,10 @@ def ppsd_residual(model: LindbladModel, psi) -> float:
     """Purity-loss rate R(psi) = sum_i gamma_i (<L_i^dag L_i> - <L_i><L_i^dag>).
 
     Equals sum_i gamma_i Var(L_i, psi) when every jump operator is Hermitian.
-    The value is real by construction; any imaginary part beyond 1e-12 would
-    signal numerical corruption and raises.
+    It is the search's value: term by term in model order, with <L^dag L>
+    taken as ||L psi||^2, so it is real by construction.
     """
-    v = psi.amplitudes if isinstance(psi, StateVector) else StateVector(psi).amplitudes
-    _check_state_dim(model, v)
-    return _residual(_model_term_arrays(model), v)
-
-
-def _residual(terms, v: np.ndarray) -> float:
-    """R(v) from prebuilt (rate, L, L^dag L) triples; see ppsd_residual."""
-    total = 0.0 + 0.0j
-    for rate, L, LdL in terms:
-        mean = np.vdot(v, L @ v)
-        total += rate * (np.vdot(v, LdL @ v) - mean * np.conj(mean))
-    if abs(total.imag) > 1e-12:
-        raise InvariantViolation(f"residual has imaginary part {total.imag:.3e}")
-    return float(total.real)
+    return float(_residual_value(model._dissipators, _model_state(model, psi)))
 
 
 def effective_hamiltonian(model: LindbladModel, psi) -> Operator:
@@ -210,13 +185,12 @@ def effective_hamiltonian(model: LindbladModel, psi) -> Operator:
                                   - 1/2 L_i^dag L_i ),
     non-Hermitian in general.
     """
-    v = psi.amplitudes if isinstance(psi, StateVector) else StateVector(psi).amplitudes
-    _check_state_dim(model, v)
+    v = _model_state(model, psi)
     d = model.dim
     eye = np.eye(d, dtype=complex)
     h_eff = model.hamiltonian.matrix.astype(complex).copy()
-    for rate, L, LdL in _model_term_arrays(model):
-        mean_dag = np.vdot(v, L.conj().T @ v)
+    for rate, L, Ld, LdL in model._dissipators:
+        mean_dag = np.vdot(v, Ld @ v)
         mean_LdL = np.vdot(v, LdL @ v)
         h_eff += 1j * rate * (mean_dag * L - 0.5 * mean_LdL * eye - 0.5 * LdL)
     return Operator(h_eff)
@@ -228,7 +202,7 @@ def effective_hamiltonian(model: LindbladModel, psi) -> Operator:
 
 
 def _pure_flow_rhs(model: LindbladModel):
-    terms = _model_term_arrays(model)
+    terms = model._dissipators
     h = model.hamiltonian.matrix
 
     def rhs(_t, y):
@@ -236,7 +210,7 @@ def _pure_flow_rhs(model: LindbladModel):
         u = y / nrm
         drift = -1j * (h @ u)
         r_val = 0.0
-        for rate, L, LdL in terms:
+        for rate, L, _, LdL in terms:
             Lu = L @ u
             mean = np.vdot(u, Lu)
             mean_LdL = np.vdot(u, LdL @ u).real
@@ -263,8 +237,7 @@ def evolve_pure_nonlinear(
     NormBlowUp and a sustained rate above 1e-6 per unit time raises
     IntegrationFailure, both signalling integrator breakdown.
     """
-    v = psi0.amplitudes if isinstance(psi0, StateVector) else StateVector(psi0).amplitudes
-    _check_state_dim(model, v)
+    v = _model_state(model, psi0)
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) < 0):
         raise InvariantViolation("times must ascend from 0")
@@ -315,8 +288,7 @@ def is_stationary_state(
     model: LindbladModel, psi, rel_tol: float = PPSD_RESIDUAL_RTOL
 ) -> bool:
     """Whether |psi><psi| is annihilated by the generator, relative to ||L||."""
-    v = psi.amplitudes if isinstance(psi, StateVector) else StateVector(psi).amplitudes
-    _check_state_dim(model, v)
+    v = _model_state(model, psi)
     norm = liouvillian_norm(model)
     if norm == 0.0:
         return True
@@ -356,8 +328,9 @@ def consistency_check(
         trace_distance(np.outer(p.amplitudes, p.amplitudes.conj()), s.matrix)
         for p, s in zip(pure_path, traj.states)
     )
-    terms = _model_term_arrays(model)
-    max_resid = max(_residual(terms, p.amplitudes) for p in pure_path)
+    max_resid = max(
+        float(_residual_value(model._dissipators, p.amplitudes)) for p in pure_path
+    )
     max_impurity = float(np.max(1.0 - traj.purities))
     stationary = is_stationary_state(model, psi0)
     if stationary:
@@ -395,7 +368,7 @@ def _thread_count() -> int:
 def _residual_value(terms, v):
     """Residual at unit psi, summed term by term in order (no gradient)."""
     val = 0.0
-    for rate, L, _ in terms:
+    for rate, L, _, _ in terms:
         val += _term_residual(rate, L, v)
     return val
 
@@ -403,9 +376,9 @@ def _residual_value(terms, v):
 def _residual_grad(terms, v):
     """Wirtinger gradient d R / d conj(psi) of the residual at unit psi."""
     grad = np.zeros_like(v)
-    for rate, L, LdL in terms:
+    for rate, L, Ld, LdL in terms:
         Lv = L @ v
-        Ldv = L.conj().T @ v
+        Ldv = Ld @ v
         mean = np.vdot(v, Lv)
         second = np.vdot(Lv, Lv).real
         grad += rate * (
@@ -459,17 +432,17 @@ def _mean_field_refine(terms, v, max_iter: int = 12):
     """
     d = v.shape[0]
     eye = np.eye(d, dtype=complex)
-    slack = 1e-14 * sum(rate * np.linalg.norm(L) ** 2 for rate, L, _ in terms)
+    slack = 1e-14 * sum(rate * np.linalg.norm(L) ** 2 for rate, L, _, _ in terms)
     best_val = _residual_value(terms, v)
     best_v = v
     for _ in range(max_iter):
         K = np.zeros((d, d), dtype=complex)
-        for rate, L, LdL in terms:
+        for rate, L, Ld, LdL in terms:
             mean = np.vdot(v, L @ v)
             K += rate * (
                 LdL
                 - np.conj(mean) * L
-                - mean * L.conj().T
+                - mean * Ld
                 + abs(mean) ** 2 * eye
             )
         _, vecs = np.linalg.eigh(K)
@@ -573,7 +546,7 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
     ``residual_tol * residual_scale(model)`` are kept, phase-gauge-fixed,
     merged deterministically by (residual, lexicographic amplitudes), and
     deduplicated: any two reported states have pairwise fidelity below
-    ``dedupe_fidelity``.
+    SEARCH_DEDUPE_FIDELITY.
 
     Every surviving state is classified: stationary states get verdict
     stationary_only; non-stationary ones are consistency-checked against the
@@ -584,7 +557,7 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
     Restarts run on up to PPSD_LAB_THREADS threads; results are identical
     for identical seeds regardless of thread count.
     """
-    terms = _model_term_arrays(model)
+    terms = model._dissipators
     d = model.dim
     scale = residual_scale(model)
     if not terms or scale == 0.0:
@@ -607,7 +580,7 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
             objective,
             x0,
             method="Nelder-Mead",
-            options=dict(maxiter=config.max_iterations, fatol=1e-14 * scale, xatol=1e-10),
+            options=dict(maxiter=SEARCH_MAX_ITERATIONS, fatol=1e-14 * scale, xatol=1e-10),
         )
         v = res.x[:d] + 1j * res.x[d:]
         nrm = np.linalg.norm(v)
@@ -634,7 +607,7 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
     hits.sort(key=lambda h: (h[0], tuple(np.round(h[1].view(float), 10))))
     kept: list[tuple[float, np.ndarray]] = []
     for val, v in hits:
-        if all(abs(np.vdot(v, u)) ** 2 < config.dedupe_fidelity for _, u in kept):
+        if all(abs(np.vdot(v, u)) ** 2 < SEARCH_DEDUPE_FIDELITY for _, u in kept):
             kept.append((val, v))
 
     reports = []

@@ -137,7 +137,7 @@ def test_simulate_rejects_zero_horizon(capsys):
 def test_simulate_reruns_byte_identical(capsys, tmp_path):
     args = (
         "simulate", "--model", "depolarizing", "--state", "plus",
-        "--t-max", "2", "--steps", "25", "--seed", "9",
+        "--t-max", "2", "--steps", "25",
     )
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -145,6 +145,14 @@ def test_simulate_reruns_byte_identical(capsys, tmp_path):
     assert main(list(args) + ["--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert b"\r" not in first.read_bytes()  # LF line endings
+
+
+def test_simulate_refuses_a_seed(capsys):
+    # simulate is deterministic, so a seed would be ignored: refuse it
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", "depolarizing", "--t-max", "1", "--seed", "9"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_simulate_json_format(capsys):

@@ -325,9 +325,32 @@ def test_large_non_diagonal_run_stays_exact_and_sparse(monkeypatch):
     assert liouvillian_norm(model) > 0
 
 
+def test_diagonal_propagation_never_builds_the_dissipator_table():
+    # the table holds L^dag L for each of the 256 dense grid terms; the
+    # entrywise path reads only the cached diagonal coefficients
+    model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 256)))
+    propagate(model, DensityMatrix.maximally_mixed(256), np.linspace(0.0, 1.0, 3))
+    assert "_diagonal_coefficients" in model.__dict__
+    assert "_dissipators" not in model.__dict__
+
+
 # ---------------------------------------------------------------------------
 # stationary structure and unitality
 # ---------------------------------------------------------------------------
+
+
+def test_stationary_states_takes_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.0}))
+    assert len(stationary_states(model)) == 1
+    assert len(calls) == 1
 
 
 def test_dephasing_null_space_dimension_two():

@@ -8,6 +8,8 @@ import pytest
 from ppsd_lab import (
     DensityMatrix,
     InvariantViolation,
+    LindbladModel,
+    LindbladTerm,
     ModelSpec,
     Operator,
     SearchConfig,
@@ -20,6 +22,8 @@ from ppsd_lab import (
     fock_operators,
     history_chain,
     is_stationary_state,
+    liouvillian_action,
+    liouvillian_matrix,
     pauli_operators,
     ppsd_residual,
     ppsd_residual_terms,
@@ -139,7 +143,7 @@ def test_residual_gradient_matches_central_difference(spec):
     # along the great circle (psi + eps delta)/|psi + eps delta| with delta
     # tangent at psi, dR/deps = 2 Re <grad, delta> for the Wirtinger gradient
     model = catalog_model(spec)
-    terms = ppsd._model_term_arrays(model)
+    terms = model._dissipators
     rng = np.random.default_rng(41)
     eps = 1e-6
     for _ in range(3):
@@ -155,7 +159,7 @@ def test_residual_gradient_matches_central_difference(spec):
 @pytest.mark.parametrize("spec", GRADIENT_SPECS, ids=lambda s: s.name)
 def test_residual_value_is_in_order_sum_of_terms(spec):
     model = catalog_model(spec)
-    terms = ppsd._model_term_arrays(model)
+    terms = model._dissipators
     rng = np.random.default_rng(42)
     for _ in range(5):
         psi = random_state(rng, model.dim)
@@ -163,6 +167,32 @@ def test_residual_value_is_in_order_sum_of_terms(spec):
         for term in ppsd_residual_terms(model, psi):
             running += term
         assert ppsd._residual_value(terms, psi.amplitudes) == running
+
+
+def test_zero_rate_term_leaves_every_kernel_bitwise_unchanged():
+    # a zero-rate term is dropped once, by the model's dissipator table, so
+    # the generator, its action, the residual and its gradient keep their bits
+    model = catalog_model(ModelSpec("three_level_atom", {}))
+    rng = np.random.default_rng(43)
+    d = model.dim
+
+    def noise():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    padded = LindbladModel(
+        model.hamiltonian, model.terms[:1] + (LindbladTerm(0.0, noise()),) + model.terms[1:], d
+    )
+    assert len(padded._dissipators) == len(model._dissipators) > 1
+    assert np.array_equal(liouvillian_matrix(padded), liouvillian_matrix(model))
+    rho = noise()
+    assert np.array_equal(liouvillian_action(padded, rho), liouvillian_action(model, rho))
+    for _ in range(3):
+        psi = random_state(rng, d)
+        assert ppsd_residual(padded, psi) == ppsd_residual(model, psi)
+        assert np.array_equal(
+            ppsd._residual_grad(padded._dissipators, psi.amplitudes),
+            ppsd._residual_grad(model._dissipators, psi.amplitudes),
+        )
 
 
 def test_multimode_zero_total_requires_zero_occupation():
@@ -368,7 +398,8 @@ def test_search_respects_dedupe_contract():
     for i in range(len(reports)):
         for j in range(i + 1, len(reports)):
             assert (
-                fidelity(reports[i].state, reports[j].state) < config.dedupe_fidelity
+                fidelity(reports[i].state, reports[j].state)
+                < ppsd.SEARCH_DEDUPE_FIDELITY
             )
 
 
@@ -430,7 +461,7 @@ def test_thread_cap_validation(monkeypatch):
 def test_search_driven_oscillator_respects_additive_bound():
     params = {"dim": 16, "alpha_kT": 0.5}
     model = catalog_model(ModelSpec("nonadiabatic_driven", params))
-    reports = ppsd_search(model, SearchConfig(n_restarts=8, seed=4, max_iterations=200))
+    reports = ppsd_search(model, SearchConfig(n_restarts=8, seed=4))
     assert reports == []  # residual floor is strictly positive
     bound = math.exp(-0.5)
     rng = np.random.default_rng(0)
