@@ -41,6 +41,15 @@ def _as_complex_matrix(matrix) -> np.ndarray:
     return m
 
 
+def _has_negative_zero(m: np.ndarray) -> bool:
+    """Whether a real or imaginary part of the complex array m is -0.0."""
+    neg_zero = np.float64(-0.0).view(np.uint64)
+    return bool(
+        np.any(m.real.view(np.uint64) == neg_zero)
+        or np.any(m.imag.view(np.uint64) == neg_zero)
+    )
+
+
 @dataclass(frozen=True)
 class Operator:
     """A linear operator on a dim-dimensional Hilbert space."""
@@ -125,7 +134,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
-        herm_defect = np.abs(m - m.conj().T).max()
+        mh = m.conj().T
+        herm_defect = np.abs(m - mh).max()
         if herm_defect > HERMITICITY_TOL:
             raise InvariantViolation(
                 f"density matrix is not Hermitian (defect {herm_defect:.3e})"
@@ -133,7 +143,13 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"density matrix trace {tr!r} is not 1")
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+        # (m + m^H)/2 is m itself, bit for bit, when m equals m^H entry for
+        # entry and holds no -0.0 (which the sum would turn into +0.0).
+        if herm_defect == 0.0 and not _has_negative_zero(m):
+            herm = m
+        else:
+            herm = (m + mh) / 2
+        min_eig = float(np.linalg.eigvalsh(herm).min())
         if min_eig < -abs(self.eig_tol):
             raise InvariantViolation(
                 f"density matrix has eigenvalue {min_eig:.3e} below -{abs(self.eig_tol):.1e}"

@@ -28,6 +28,17 @@ exponential on vec(rho) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
 dim^2 x dim^2 dense array.
 
 Superoperator norms are Frobenius norms throughout.
+
+A model caches its per-term data on first use.  ``_dissipators`` holds
+(gamma, L, L^dag, L^dag L) for every nonzero-rate term and feeds the
+generator builders and the residual, gradient and search kernels.  When H
+and every L are diagonal, ``_diagonal_jumps`` holds the same terms stacked
+as rates (k,) and diagonals (k, d); the entrywise coefficients
+(``_diagonal_coefficients``, one matrix product) and the pure-flow RHS in
+``ppsd`` read it, so a diagonal grid model propagates and runs its pure flow
+without forming a dense per-term table.  The search kernels stay on
+``_dissipators`` for every model: their floating-point order decides which
+restarts pass the residual gate.
 """
 
 from __future__ import annotations
@@ -116,11 +127,11 @@ class LindbladModel:
     def _dissipators(self) -> tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...]:
         """(rate, L, L^dag, L^dag L) for every nonzero-rate term, in model order.
 
-        The table every generator, residual and flow kernel reads.  It is
+        The table every generator, residual and search kernel reads.  It is
         built on first use and cached on the (immutable) model; diagonal
-        models propagate through ``_diagonal_coefficients`` and never build
-        it, which matters for grid models whose many dense terms make
-        L^dag L costly.
+        models propagate and run the pure flow from ``_diagonal_jumps`` and
+        never build it there, which matters for grid models whose many
+        dense terms make L^dag L costly.
         """
         table = []
         for rate, L in self._rated_terms():
@@ -132,26 +143,48 @@ class LindbladModel:
         return tuple(table)
 
     @cached_property
+    def _diagonal_jumps(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(rates (k,), ell (k, d)) when H and every L are diagonal, else None.
+
+        ``ell[k]`` is the diagonal of the k-th nonzero-rate jump operator, in
+        model order.  The predicate covers H and every term, zero-rate terms
+        included; each matrix is checked by counting its nonzero entries, so
+        no d x d temporary is formed.  The entrywise coefficients and the
+        pure-flow RHS of a diagonal model read this form instead of the
+        dense ``_dissipators`` table.
+        """
+        for m in [self.hamiltonian.matrix] + [t.op.matrix for t in self.terms]:
+            if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)):
+                return None
+        rated = self._rated_terms()
+        rates = np.array([rate for rate, _ in rated], dtype=float)
+        ell = np.array([np.diagonal(L) for _, L in rated], dtype=complex)
+        ell = ell.reshape(len(rated), self.dim)
+        rates.setflags(write=False)
+        ell.setflags(write=False)
+        return rates, ell
+
+    @cached_property
     def _diagonal_coefficients(self) -> np.ndarray | None:
         """Entrywise generator coefficients when H and every L are diagonal.
 
         Dephasing-type models act entrywise on rho:
-        d rho_ij/dt = c_ij rho_ij.  Holds the (d, d) array c, or None when the
-        model has off-diagonal operator content.
+        d rho_ij/dt = c_ij rho_ij with
+
+            c = -i (h_i - h_j) + (gamma ell)^T conj(ell) - (b_i + b_j)/2,
+
+        b = gamma . |ell|^2, formed from ``_diagonal_jumps`` with one
+        matrix product.  Holds the (d, d) array c, or None when the model
+        has off-diagonal operator content.
         """
-        mats = [self.hamiltonian.matrix] + [t.op.matrix for t in self.terms]
-        for m in mats:
-            if np.abs(m - np.diag(np.diag(m))).max() > 0.0:
-                return None
-        h = np.diag(self.hamiltonian.matrix)
-        c = -1j * np.subtract.outer(h, h)
-        for rate, L in self._rated_terms():
-            ell = np.diag(L)
-            abs2 = np.abs(ell) ** 2
-            c = c + rate * (
-                np.multiply.outer(ell, ell.conj())
-                - 0.5 * (abs2[:, None] + abs2[None, :])
-            )
+        jumps = self._diagonal_jumps
+        if jumps is None:
+            return None
+        rates, ell = jumps
+        h = np.diagonal(self.hamiltonian.matrix)
+        b = rates @ (np.abs(ell) ** 2)
+        c = (rates[:, None] * ell).T @ ell.conj()
+        c += -1j * np.subtract.outer(h, h) - 0.5 * np.add.outer(b, b)
         c.setflags(write=False)
         return c
 
@@ -372,22 +405,30 @@ def _propagate_sparse(model: LindbladModel, rho0: np.ndarray, times: np.ndarray)
     interval call reaches its first point with the scaling chosen for the
     interval, which loses all accuracy when times[0] is long against the
     interval (an error of 1e17 on linspace(5, 5.5, 6) at d = 24).
+
+    expm_multiply's norm estimates draw from numpy's global generator; its
+    state is saved before the calls and restored after them, so propagation
+    leaves ``np.random`` as it found it.
     """
     d = model.dim
     sup = _sparse_generator(model)
     vec = rho0.reshape(d * d)
     t0, t1 = times[0], times[-1]
-    if t0 > 0:
-        vec = expm_multiply(sup * t0, vec)
-    if t1 > t0 and np.array_equal(times, np.linspace(t0, t1, times.size)):
-        vecs = expm_multiply(sup, vec, start=0.0, stop=t1 - t0, num=times.size, endpoint=True)
-    else:
-        vecs, prev_t = [], t0
-        for t in times:
-            if t > prev_t:
-                vec = expm_multiply(sup * (t - prev_t), vec)
-            prev_t = t
-            vecs.append(vec)
+    global_state = np.random.get_state()
+    try:
+        if t0 > 0:
+            vec = expm_multiply(sup * t0, vec)
+        if t1 > t0 and np.array_equal(times, np.linspace(t0, t1, times.size)):
+            vecs = expm_multiply(sup, vec, start=0.0, stop=t1 - t0, num=times.size, endpoint=True)
+        else:
+            vecs, prev_t = [], t0
+            for t in times:
+                if t > prev_t:
+                    vec = expm_multiply(sup * (t - prev_t), vec)
+                prev_t = t
+                vecs.append(vec)
+    finally:
+        np.random.set_state(global_state)
     return [v.reshape(d, d) for v in vecs]
 
 

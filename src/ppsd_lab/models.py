@@ -814,21 +814,33 @@ def nonadiabatic_residual_bound(params: dict, psi) -> tuple[float, float]:
     Violations beyond 1e-9 (impossible away from truncation artifacts)
     raise InvariantViolation.
     """
-    spec = ModelSpec("nonadiabatic_driven", params)
-    model = catalog_model(spec)
+    residuals, bound = _nonadiabatic_residual_bounds(params, [psi])
+    return residuals[0], bound
+
+
+def _nonadiabatic_residual_bounds(params: dict, states) -> tuple[list[float], float]:
+    """Residuals of many states and their common bound, from one model build.
+
+    The checks and the error are those of nonadiabatic_residual_bound,
+    applied to each state in order.
+    """
+    model = catalog_model(ModelSpec("nonadiabatic_driven", params))
     p = _resolve_params("nonadiabatic_driven", params)
-    residual = ppsd_residual(model, psi)
     bound = (
         p["xi_sq"]
         * p["gamma_t"]
         * math.exp(-p["alpha_kT"])
         / (p["m"] * p["omega0"] * p["kappa"])
     )
-    if residual < bound - 1e-9:
-        raise InvariantViolation(
-            f"residual {residual:.3e} fell below its additive bound {bound:.3e}"
-        )
-    return residual, bound
+    residuals = []
+    for psi in states:
+        residual = ppsd_residual(model, psi)
+        if residual < bound - 1e-9:
+            raise InvariantViolation(
+                f"residual {residual:.3e} fell below its additive bound {bound:.3e}"
+            )
+        residuals.append(residual)
+    return residuals, bound
 
 
 # ---------------------------------------------------------------------------

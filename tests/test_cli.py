@@ -449,6 +449,23 @@ def test_reproduce_targets_pass(capsys, target):
     assert meta["passed"] == "true"
 
 
+def test_reproduce_b16_builds_one_model_per_snapshot(capsys, monkeypatch):
+    import ppsd_lab.cli as cli
+    import ppsd_lab.models as models
+
+    calls = []
+
+    def counted(spec):
+        calls.append(spec.name)
+        return catalog_model(spec)
+
+    monkeypatch.setattr(models, "catalog_model", counted)
+    monkeypatch.setattr(cli, "catalog_model", counted)
+    code, out, err = run_cli(capsys, "reproduce", "b16")
+    assert code == 0, err
+    assert calls == ["nonadiabatic_driven"] * 5
+
+
 def test_reproduce_b13_exits_four_on_the_pair_count(capsys):
     """The b13 target reports the +/- zero-residual pair and exits 4.
 

@@ -40,6 +40,25 @@ def test_density_matrix_min_eigenvalue_is_its_spectrum_bound():
         DensityMatrix(m, min_eigenvalue=0.0)
 
 
+def test_density_matrix_min_eigenvalue_is_that_of_the_hermitian_part_bit_for_bit():
+    # exactly Hermitian input skips forming (m + m^H)/2; the value must not move
+    rng = np.random.default_rng(11)
+    inputs = []
+    for dim in (2, 7, 24):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = a @ a.conj().T
+        m = (m + m.conj().T) / (2 * m.trace().real)
+        skew = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        real = np.abs(m) / np.abs(m).trace()
+        real = ((real + real.T) / 2).astype(complex)
+        inputs += [m, m + 1e-14 * (skew - skew.conj().T), real]
+    signed_zero = np.array([[0.5, complex(0.0, -0.0)], [complex(-0.0, 0.0), 0.5]])
+    inputs += [signed_zero, np.asfortranarray(inputs[1])]
+    for m in inputs:
+        expected = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+        assert DensityMatrix(m).min_eigenvalue.hex() == float(expected).hex()
+
+
 def test_purity_maximally_mixed():
     assert purity(DensityMatrix.maximally_mixed(2)) == pytest.approx(0.5, abs=1e-14)
 

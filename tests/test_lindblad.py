@@ -334,6 +334,64 @@ def test_diagonal_propagation_never_builds_the_dissipator_table():
     assert "_dissipators" not in model.__dict__
 
 
+def test_sparse_propagation_leaves_the_global_random_state_alone():
+    model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}))
+    rho0 = DensityMatrix.from_state(coherent_state(0.6 - 0.4j, 24))
+    np.random.seed(7)
+    before = np.random.get_state()
+    propagate(model, rho0, np.linspace(0.0, 1.5, 31))
+    after = np.random.get_state()
+    assert before[0] == after[0] and before[2:] == after[2:]
+    assert np.array_equal(before[1], after[1])
+
+
+DIAGONAL_SPECS = [
+    ModelSpec("dephasing_qubit", {"gamma": 1.0}),
+    ModelSpec("position_decoherence", {"gamma": 1.0}, GridSpec(-5.0, 5.0, 32)),
+    ModelSpec("phase_damped_oscillator", {"dim": 10}),
+    ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 32)),
+    ModelSpec("csl", {}),
+]
+
+
+@pytest.mark.parametrize("spec", DIAGONAL_SPECS, ids=lambda s: s.name)
+def test_diagonal_coefficients_are_the_generator_diagonal(spec):
+    model = catalog_model(spec)
+    sup = liouvillian_matrix(model)
+    assert not np.any(sup - np.diag(np.diag(sup)))
+    diag = np.diag(sup)
+    got = model._diagonal_coefficients.reshape(-1)
+    assert np.abs(got - diag).max() <= 1e-13 * np.abs(diag).max()
+
+
+def test_diagonal_jumps_stack_the_nonzero_rate_diagonals():
+    model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 32)))
+    rates, ell = model._diagonal_jumps
+    assert rates.shape == (32,) and ell.shape == (32, 32)
+    for k, (rate, L, _, _) in enumerate(model._dissipators):
+        assert rates[k] == rate
+        assert np.array_equal(ell[k], np.diag(L))
+
+
+@pytest.mark.parametrize("spec", DESK_MODELS, ids=lambda s: s.name)
+def test_diagonal_jumps_predicate_covers_every_operator(spec):
+    model = catalog_model(spec)
+    mats = [model.hamiltonian.matrix] + [t.op.matrix for t in model.terms]
+    diagonal = all(not np.any(m - np.diag(np.diag(m))) for m in mats)
+    assert (model._diagonal_jumps is not None) == diagonal
+    assert (model._diagonal_coefficients is not None) == diagonal
+    if diagonal:
+        # a zero-rate off-diagonal term adds nothing to the generator, yet
+        # still makes the model non-diagonal
+        off = np.zeros((model.dim, model.dim), dtype=complex)
+        off[0, 1] = 1.0
+        padded = LindbladModel(
+            model.hamiltonian, model.terms + (LindbladTerm(0.0, Operator(off)),), model.dim
+        )
+        assert padded._diagonal_jumps is None
+        assert padded._diagonal_coefficients is None
+
+
 # ---------------------------------------------------------------------------
 # stationary structure and unitality
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from ppsd_lab import (
     DensityMatrix,
+    GridSpec,
     InvariantViolation,
     LindbladModel,
     LindbladTerm,
@@ -281,6 +282,60 @@ def test_pure_flow_tracks_coherent_state_of_damped_oscillator():
     mixed = propagate(model, DensityMatrix.from_state(psi0), times)
     for p, s in zip(pure, mixed.states):
         assert trace_distance(DensityMatrix.from_state(p), s) < 1e-7
+
+
+def _term_by_term_flow_rhs(model, y):
+    """Reference pure-flow RHS: two dense matvecs per dissipator-table term."""
+    nrm = np.linalg.norm(y)
+    u = y / nrm
+    drift = -1j * (model.hamiltonian.matrix @ u)
+    r_val = 0.0
+    for rate, L, _, LdL in model._dissipators:
+        Lu = L @ u
+        mean = np.vdot(u, Lu)
+        mean_LdL = np.vdot(u, LdL @ u).real
+        drift += rate * (np.conj(mean) * Lu - 0.5 * mean_LdL * u - 0.5 * (LdL @ u))
+        r_val += rate * (mean_LdL - abs(mean) ** 2)
+    return (drift + r_val * u) * nrm
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 32)),
+        ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 64)),
+        ModelSpec("position_decoherence", {"gamma": 1.0}, GridSpec(-5.0, 5.0, 32)),
+        ModelSpec("phase_damped_oscillator", {"dim": 10}),
+        ModelSpec("csl", {}),
+        DEPHASING,
+    ],
+    ids=lambda s: f"{s.name}-{getattr(s.dim_or_grid, 'n_points', s.dim_or_grid)}",
+)
+def test_diagonal_pure_flow_matches_term_by_term_reference(spec):
+    model = catalog_model(spec)
+    assert model._diagonal_jumps is not None
+    rhs = ppsd._pure_flow_rhs(model)
+    rng = np.random.default_rng(21)
+    for scale in (1.0, 3.0):
+        y = scale * random_state(rng, model.dim).amplitudes
+        expected = _term_by_term_flow_rhs(model, y)
+        got = rhs(0.0, y)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_diagonal_pure_flow_never_reads_the_dissipator_table(monkeypatch):
+    def refuse(_model):
+        raise AssertionError("dense dissipator table built")
+
+    monkeypatch.setattr(LindbladModel, "_dissipators", property(refuse))
+    grid = GridSpec(-5.0, 5.0, 64)
+    model = catalog_model(ModelSpec("grw", {}, grid))
+    psi0 = StateVector.normalized(np.exp(-(grid.points**2) / (4 * 0.7**2)))
+    states, drifts = evolve_pure_nonlinear(
+        model, psi0, np.linspace(0.0, 0.5, 6), return_drift=True
+    )
+    assert len(states) == 6
+    assert drifts.max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
