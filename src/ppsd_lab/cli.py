@@ -399,14 +399,9 @@ def cmd_simulate(args) -> int:
         columns += ["n_x", "n_y", "n_z"]
     sx, sy, sz, _, _ = pauli_operators()
     rows = []
-    for t, st, pur in zip(traj.times, traj.states, traj.purities):
+    for t, st, pur, tr_err in zip(traj.times, traj.states, traj.purities, traj.trace_errors):
         m = st.matrix
-        row = [
-            float(t),
-            float(pur),
-            abs(float(m.trace().real) - 1.0),
-            st.min_eigenvalue,
-        ]
+        row = [float(t), float(pur), float(tr_err), st.min_eigenvalue]
         if bloch:
             row += [
                 float(np.trace(m @ s).real)
@@ -420,6 +415,7 @@ def cmd_simulate(args) -> int:
             "t_max": config.t_max,
             "steps": config.n_steps,
             "method": config.method,
+            "path": traj.path,
         }
     )
     emit(ResultRecord(meta, tuple(columns), rows), config.format, config.output_path)

@@ -20,12 +20,14 @@ so the commutator part reads -i (H kron I - I kron H^T) and each dissipator
 gamma (L kron conj(L) - 1/2 (L^dag L) kron I - 1/2 I kron (L^dag L)^T).
 The trace functional vec(I) is a left null vector of every generator.
 
-Exact propagation takes one of three paths, chosen from the model alone:
-entrywise exponentials when H and every L are diagonal; a dense exp(L dt)
-for other models up to DENSE_GENERATOR_MAX_DIM; above it, the action of the
-exponential on vec(rho) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
-488) with the generator held as a sparse Kronecker sum, which never forms a
-dim^2 x dim^2 dense array.
+Exact propagation takes one of three paths, chosen from the model alone
+and recorded in ``Trajectory.path``: entrywise exponentials when H and every
+L are diagonal (in real arithmetic when the coefficients and the initial
+state are real); a dense exp(L dt) for other models up to
+DENSE_GENERATOR_MAX_DIM; above it, the action of the exponential on
+vec(rho) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) with the
+generator held as a sparse Kronecker sum, which never forms a dim^2 x dim^2
+dense array.
 
 Superoperator norms are Frobenius norms throughout.
 
@@ -223,11 +225,21 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Times, propagated states, and their purities."""
+    """Times, propagated states, and their purities.
+
+    ``propagate`` also records how the states were computed: ``path`` names
+    the propagation path that ran ("entrywise", "dense_expm",
+    "sparse_expm_multiply" or "adaptive_rk"), and ``trace_errors`` holds
+    |tr rho - 1| of each propagated state before the gate renormalised it,
+    the value the gate judged.  Both are None on a trajectory built
+    directly.
+    """
 
     times: np.ndarray
     states: tuple[DensityMatrix, ...]
     purities: np.ndarray = field(default=None)
+    path: str | None = None
+    trace_errors: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -243,6 +255,10 @@ class Trajectory:
             object.__setattr__(self, "purities", np.asarray(self.purities, dtype=float))
         if self.purities.shape[0] != times.shape[0]:
             raise InvariantViolation("times and purities must have equal length")
+        if self.trace_errors is not None:
+            object.__setattr__(self, "trace_errors", np.asarray(self.trace_errors, dtype=float))
+            if self.trace_errors.shape[0] != times.shape[0]:
+                raise InvariantViolation("times and trace errors must have equal length")
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +389,33 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
-    c = model._diagonal_coefficients
-    if c is not None:
-        return [rho0 * np.exp(c * t) for t in times]
+def _exact_path(model: LindbladModel) -> str:
+    """The exact propagation path the model takes: "entrywise",
+    "dense_expm" or "sparse_expm_multiply"."""
+    if model._diagonal_coefficients is not None:
+        return "entrywise"
     if _use_sparse_generator(model):
+        return "sparse_expm_multiply"
+    return "dense_expm"
+
+
+def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
+    """exp(L t) rho0 at every time, along the path ``_exact_path`` names.
+
+    The entrywise path forms rho0 * exp(c t).  When c and rho0 have no
+    nonzero imaginary part, as on every grid model (H = 0, real diagonal
+    jump operators, real Gaussian amplitudes), it forms the product in real
+    arithmetic, rho0.real * exp(c.real t), and the gate then diagonalises a
+    real symmetric matrix.  The entries agree with the complex expression to
+    roundoff, so grid outputs move only in their last digits.
+    """
+    path = _exact_path(model)
+    if path == "entrywise":
+        c = model._diagonal_coefficients
+        if not c.imag.any() and not rho0.imag.any():
+            c, rho0 = c.real, rho0.real
+        return [rho0 * np.exp(c * t) for t in times]
+    if path == "sparse_expm_multiply":
         return _propagate_sparse(model, rho0, times)
     d = model.dim
     sup = liouvillian_matrix(model)
@@ -458,7 +496,9 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
     Every output is re-symmetrized, renormalized and checked against the
     1e-8 invariant gate (_validated_state); violations raise
     IntegrationFailure.  Each returned state was diagonalised exactly once,
-    and its ``min_eigenvalue`` is the value the gate judged.
+    and its ``min_eigenvalue`` is the value the gate judged.  The
+    trajectory records the path that ran and the trace errors the gate
+    judged, from before renormalisation.
     """
     if method not in ("exact_exponential", "adaptive_rk"):
         raise InvariantViolation(f"unknown propagation method {method!r}")
@@ -469,11 +509,13 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
             f"state dim {rho0.shape[0]} does not match model dim {model.dim}"
         )
     if method == "adaptive_rk":
-        raw = _propagate_rk(model, rho0, times)
+        path, raw = "adaptive_rk", _propagate_rk(model, rho0, times)
     else:
-        raw = _propagate_exact(model, rho0, times)
+        path, raw = _exact_path(model), _propagate_exact(model, rho0, times)
     states = [_validated_state(r, t) for r, t in zip(raw, times)]
-    return Trajectory(times=times, states=states)
+    # the gate's (rho + rho^dag)/2 has the real trace of rho, bit for bit
+    trace_errors = [abs(r.trace().real - 1.0) for r in raw]
+    return Trajectory(times=times, states=states, path=path, trace_errors=trace_errors)
 
 
 def purity_trajectory(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,14 @@ from .errors import (
     InvariantViolation,
     NormBlowUp,
 )
-from .hilbert import DensityMatrix, Operator, StateVector, _state_array, purity
+from .hilbert import (
+    DensityMatrix,
+    Operator,
+    StateVector,
+    _hermitian_eigvalsh,
+    _state_array,
+    purity,
+)
 from .lindblad import (
     _RK_OPTIONS,
     LindbladModel,
@@ -309,7 +316,7 @@ def trace_distance(rho, sigma) -> float:
     a = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     b = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
     diff = (a - b + (a - b).conj().T) / 2
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    return float(0.5 * np.abs(_hermitian_eigvalsh(diff)).sum())
 
 
 def is_stationary_state(

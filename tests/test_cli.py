@@ -350,6 +350,48 @@ def test_simulate_exits_three_on_negativity_beyond_the_gate(capsys, monkeypatch)
     assert err == "numerical failure: negativity -5.000e-08 at t=0.0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (("--model", "dephasing_qubit"), "entrywise"),
+        (("--model", "thermal_qubit"), "dense_expm"),
+        (("--model", "damped_oscillator", "--dim", "24", "--state", "coherent:0.5,0"),
+         "sparse_expm_multiply"),
+        (("--model", "thermal_qubit", "--method", "adaptive_rk"), "adaptive_rk"),
+    ],
+    ids=["entrywise", "dense_expm", "sparse_expm_multiply", "adaptive_rk"],
+)
+def test_simulate_reports_the_propagation_path(capsys, argv, path):
+    args = ("simulate", *argv, "--t-max", "0.5", "--steps", "4")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert parse_csv(out)[0]["path"] == path
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["metadata"]["path"] == path
+
+
+def test_simulate_prints_the_trace_error_the_gate_judged(capsys, monkeypatch):
+    import ppsd_lab.lindblad as lindblad
+
+    # inside the 1e-8 gate: tr = 1 + 3e-9 before renormalisation
+    monkeypatch.setattr(
+        lindblad, "_propagate_exact", lambda _m, r, times: [r + 1.5e-9 * np.eye(2)] * len(times)
+    )
+    code, out, _ = run_cli(
+        capsys, "simulate", "--model", "thermal_qubit", "--state", "plus",
+        "--t-max", "1", "--steps", "2",
+    )
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    for row in rows:
+        assert abs(float(row[header.index("trace_error")]) - 3e-9) < 1e-15
+        # the gated state: eigenvalues (1, 0) + 1.5e-9, renormalised
+        assert float(row[header.index("min_eigenvalue")]) == pytest.approx(
+            1.5e-9 / (1 + 3e-9), abs=1e-15
+        )
+
+
 def test_simulate_d80_runs_the_exact_method_it_reports(capsys, monkeypatch):
     import ppsd_lab.lindblad as lindblad
 

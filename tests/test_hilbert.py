@@ -55,8 +55,50 @@ def test_density_matrix_min_eigenvalue_is_that_of_the_hermitian_part_bit_for_bit
     signed_zero = np.array([[0.5, complex(0.0, -0.0)], [complex(-0.0, 0.0), 0.5]])
     inputs += [signed_zero, np.asfortranarray(inputs[1])]
     for m in inputs:
-        expected = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+        herm = (m + m.conj().T) / 2
+        # a real Hermitian part is diagonalised by the real solver
+        expected = np.linalg.eigvalsh(herm if herm.imag.any() else herm.real).min()
         assert DensityMatrix(m).min_eigenvalue.hex() == float(expected).hex()
+
+
+def _real_states(rng, dim):
+    """A full-rank and a rank-deficient random real unit-trace state."""
+    for rank in (dim, max(1, dim // 3)):
+        a = rng.standard_normal((dim, rank))
+        m = a @ a.T
+        yield (m + m.T) / (2 * m.trace())
+
+
+@pytest.mark.parametrize("dim", [2, 7, 24, 64, 128, 256])
+def test_real_min_eigenvalue_agrees_with_the_complex_solver(dim):
+    rng = np.random.default_rng(dim)
+    for m in _real_states(rng, dim):
+        complex_min = np.linalg.eigvalsh(m.astype(complex)).min()
+        assert abs(DensityMatrix(m).min_eigenvalue - complex_min) < 1e-14
+
+
+def test_real_states_reach_the_real_eigenvalue_solver(monkeypatch):
+    from ppsd_lab import trace_distance
+
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(a.dtype)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rng = np.random.default_rng(3)
+    real, other = (next(_real_states(rng, 6)) for _ in range(2))
+    DensityMatrix(real)
+    DensityMatrix(np.array([[0.5, complex(0.0, -0.0)], [complex(-0.0, 0.0), 0.5]]))
+    trace_distance(real, other)
+    assert seen == [np.float64] * 3
+    seen.clear()
+    one_imaginary = real.astype(complex)
+    one_imaginary[0, 1] += 1e-13j  # within the Hermiticity tolerance
+    DensityMatrix(one_imaginary)
+    assert seen == [np.complex128]
 
 
 def test_purity_maximally_mixed():

@@ -334,6 +334,53 @@ def test_diagonal_propagation_never_builds_the_dissipator_table():
     assert "_dissipators" not in model.__dict__
 
 
+def _gaussian_density(grid, x0=0.3, sigma=0.7):
+    x = grid.points
+    return DensityMatrix.from_state(StateVector.normalized(np.exp(-((x - x0) ** 2) / (4 * sigma**2))))
+
+
+@pytest.mark.parametrize("name", ["position_decoherence", "grw"])
+def test_real_entrywise_propagation_matches_the_complex_expression(name):
+    grid = GridSpec(-5.0, 5.0, 64)
+    model = catalog_model(ModelSpec(name, {}, grid))
+    rho0 = _gaussian_density(grid).matrix
+    c = model._diagonal_coefficients
+    times = np.linspace(0.0, 1.0, 11)
+    for t, out in zip(times, lindblad._propagate_exact(model, rho0, times)):
+        ref = rho0 * np.exp(c * t)
+        assert out.dtype == np.float64
+        assert np.all(np.abs(out - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_complex_entrywise_propagation_keeps_the_complex_expression():
+    # H = omega0 N makes the coefficients complex
+    model = catalog_model(ModelSpec("phase_damped_oscillator", {"dim": 10}))
+    rho0 = random_density(np.random.default_rng(4), 10).matrix
+    c = model._diagonal_coefficients
+    assert c.imag.any()
+    times = np.linspace(0.0, 1.0, 11)
+    for t, out in zip(times, lindblad._propagate_exact(model, rho0, times)):
+        assert np.array_equal(out, rho0 * np.exp(c * t))
+
+
+@pytest.mark.parametrize(
+    "spec, method, path",
+    [
+        (ModelSpec("dephasing_qubit", {"gamma": 1.0}), "exact_exponential", "entrywise"),
+        (ModelSpec("thermal_qubit", {"N": 0.3}), "exact_exponential", "dense_expm"),
+        (ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}), "exact_exponential",
+         "sparse_expm_multiply"),
+        (ModelSpec("thermal_qubit", {"N": 0.3}), "adaptive_rk", "adaptive_rk"),
+    ],
+    ids=["entrywise", "dense_expm", "sparse_expm_multiply", "adaptive_rk"],
+)
+def test_trajectory_records_the_path_that_ran(spec, method, path):
+    model = catalog_model(spec)
+    traj = propagate(model, DensityMatrix.maximally_mixed(model.dim), np.linspace(0, 0.5, 3), method)
+    assert traj.path == path
+    assert traj.trace_errors.shape == (3,)
+
+
 def test_sparse_propagation_leaves_the_global_random_state_alone():
     model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}))
     rho0 = DensityMatrix.from_state(coherent_state(0.6 - 0.4j, 24))
