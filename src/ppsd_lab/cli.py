@@ -70,6 +70,11 @@ from .ppsd import (
 REPRODUCE_TARGETS = ("eq3", "eq5", "eq16", "fig2", "fig3", "b13", "b16", "grw")
 
 
+def _check_t_max(t_max: float) -> None:
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise PpsdLabError("t-max must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated simulate configuration."""
@@ -82,8 +87,7 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if not self.t_max > 0:
-            raise PpsdLabError("t-max must be > 0")
+        _check_t_max(self.t_max)
         if self.n_steps < 2:
             raise PpsdLabError("steps must be >= 2")
         if self.format not in ("csv", "json"):
@@ -203,6 +207,8 @@ def resolve_model(args) -> tuple[LindbladModel, dict]:
         raise PpsdLabError("either --model or --model-file is required")
     params = _parse_params(args.param or [])
     dim_or_grid = None
+    if getattr(args, "grid", None) and getattr(args, "dim", None) is not None:
+        raise PpsdLabError("--dim and --grid cannot be given together")
     if getattr(args, "grid", None):
         dim_or_grid = _parse_grid(args.grid)
     elif getattr(args, "dim", None) is not None:
@@ -309,8 +315,8 @@ def _state_numbers(token: str, counts: tuple[int, ...], form: str) -> list[float
 
 
 def _grid_points_from_note(model: LindbladModel) -> np.ndarray:
-    if model.label == "position_decoherence":
-        return np.diag(model.terms[0].op.matrix).real
+    if model.label == "position_decoherence" and model.terms[0].op.diagonal is not None:
+        return model.terms[0].op.diagonal.real
     # grid models record "[x_min, x_max] with n points" in their basis note
     match = re.search(
         r"\[(-?[\d.eE+]+), (-?[\d.eE+]+)\] with (\d+) points", model.basis_note
@@ -423,6 +429,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ppsd_check(args) -> int:
+    _check_t_max(args.t_max)
     model, meta = resolve_model(args)
     psi = resolve_state(args.state, model, pure_required=True)
     residual = ppsd_residual(model, psi)

@@ -12,7 +12,8 @@ use from any number of threads is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,19 +65,64 @@ def _has_negative_zero(m: np.ndarray) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class Operator:
-    """A linear operator on a dim-dimensional Hilbert space."""
+    """A linear operator on a dim-dimensional Hilbert space.
 
-    matrix: np.ndarray
+    ``Operator(matrix)`` stores a square matrix.  ``Operator.from_diagonal``
+    stores only the d entries of an operator that is diagonal by
+    construction, such as the position and localisation operators of a
+    grid model; both run the same finite-entry check.
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_complex_matrix(self.matrix))
-        self.matrix.setflags(write=False)
+    ``matrix`` is the read-only complex128 dense array in either case; a
+    diagonal-built operator forms it on first read and caches it.
+    ``diagonal`` holds the read-only diagonal entries when the operator is
+    diagonal and None otherwise: the stored entries of a diagonal-built
+    operator, or, for a dense one, the diagonal of a matrix whose nonzero
+    entries all lie on it.  Kernels that work on diagonals read it and so
+    never form a d x d array for an operator built from its diagonal.
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    Instances are immutable.
+    """
+
+    dim: int
+
+    def __init__(self, matrix):
+        m = _as_complex_matrix(matrix)
+        m.setflags(write=False)
+        # the stored form shadows the cached property that would derive it
+        self.__dict__.update(matrix=m, dim=m.shape[0])
+
+    @classmethod
+    def from_diagonal(cls, entries) -> "Operator":
+        """The diagonal operator diag(entries), stored as its d entries."""
+        e = np.array(entries, dtype=complex)
+        if e.ndim != 1:
+            raise InvariantViolation(f"expected a vector of diagonal entries, got shape {e.shape}")
+        if not np.all(np.isfinite(e)):
+            raise InvariantViolation("matrix entries must be finite")
+        e.setflags(write=False)
+        op = cls.__new__(cls)
+        op.__dict__.update(diagonal=e, dim=e.shape[0])
+        return op
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = np.diag(self.diagonal)
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def diagonal(self) -> np.ndarray | None:
+        m = self.matrix
+        if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)):
+            return None
+        return np.diagonal(m)
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
@@ -343,5 +389,6 @@ def coherent_state(alpha: complex, dim: int = DEFAULT_FOCK_DIM) -> StateVector:
 
 
 def position_operator(grid: GridSpec) -> Operator:
-    """Diagonal position operator carrying the grid abscissae."""
-    return Operator(np.diag(grid.points).astype(complex))
+    """Diagonal position operator carrying the grid abscissae, stored as its
+    diagonal."""
+    return Operator.from_diagonal(grid.points)

@@ -37,10 +37,11 @@ generator builders and the residual, gradient and search kernels.  When H
 and every L are diagonal, ``_diagonal_jumps`` holds the same terms stacked
 as rates (k,) and diagonals (k, d); the entrywise coefficients
 (``_diagonal_coefficients``, one matrix product) and the pure-flow RHS in
-``ppsd`` read it, so a diagonal grid model propagates and runs its pure flow
-without forming a dense per-term table.  The search kernels stay on
-``_dissipators`` for every model: their floating-point order decides which
-restarts pass the residual gate.
+``ppsd`` read it.  Grid operators are stored as their diagonals
+(``Operator.from_diagonal``), so a diagonal grid model is built, propagates
+and runs its pure flow without forming a d x d array per term.  The search
+kernels stay on ``_dissipators`` for every model: their floating-point
+order decides which restarts pass the residual gate.
 """
 
 from __future__ import annotations
@@ -121,9 +122,9 @@ class LindbladModel:
         return tuple(t.op.matrix for t in self.terms)
 
     def _rated_terms(self):
-        """(rate, L) for every nonzero-rate term, in model order; the one
+        """(rate, op) for every nonzero-rate term, in model order; the one
         place zero-rate terms are dropped."""
-        return [(t.rate, t.op.matrix) for t in self.terms if t.rate != 0.0]
+        return [(t.rate, t.op) for t in self.terms if t.rate != 0.0]
 
     @cached_property
     def _dissipators(self) -> tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -132,11 +133,12 @@ class LindbladModel:
         The table every generator, residual and search kernel reads.  It is
         built on first use and cached on the (immutable) model; diagonal
         models propagate and run the pure flow from ``_diagonal_jumps`` and
-        never build it there, which matters for grid models whose many
-        dense terms make L^dag L costly.
+        never build it there.  An operator built from its diagonal forms
+        its d x d matrix here, on first use, and not before.
         """
         table = []
-        for rate, L in self._rated_terms():
+        for rate, op in self._rated_terms():
+            L = op.matrix
             Ld = L.conj().T
             LdL = Ld @ L
             Ld.setflags(write=False)
@@ -150,17 +152,17 @@ class LindbladModel:
 
         ``ell[k]`` is the diagonal of the k-th nonzero-rate jump operator, in
         model order.  The predicate covers H and every term, zero-rate terms
-        included; each matrix is checked by counting its nonzero entries, so
-        no d x d temporary is formed.  The entrywise coefficients and the
+        included, and is each operator's ``Operator.diagonal``: an operator
+        built from its diagonal is read as stored, so a grid model forms no
+        d x d array per term here.  The entrywise coefficients and the
         pure-flow RHS of a diagonal model read this form instead of the
         dense ``_dissipators`` table.
         """
-        for m in [self.hamiltonian.matrix] + [t.op.matrix for t in self.terms]:
-            if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)):
-                return None
+        if any(op.diagonal is None for op in [self.hamiltonian] + [t.op for t in self.terms]):
+            return None
         rated = self._rated_terms()
         rates = np.array([rate for rate, _ in rated], dtype=float)
-        ell = np.array([np.diagonal(L) for _, L in rated], dtype=complex)
+        ell = np.array([op.diagonal for _, op in rated], dtype=complex)
         ell = ell.reshape(len(rated), self.dim)
         rates.setflags(write=False)
         ell.setflags(write=False)
@@ -183,7 +185,7 @@ class LindbladModel:
         if jumps is None:
             return None
         rates, ell = jumps
-        h = np.diagonal(self.hamiltonian.matrix)
+        h = self.hamiltonian.diagonal
         b = rates @ (np.abs(ell) ** 2)
         c = (rates[:, None] * ell).T @ ell.conj()
         c += -1j * np.subtract.outer(h, h) - 0.5 * np.add.outer(b, b)
@@ -402,19 +404,22 @@ def _exact_path(model: LindbladModel) -> str:
 def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
     """exp(L t) rho0 at every time, along the path ``_exact_path`` names.
 
-    The entrywise path forms rho0 * exp(c t).  When c and rho0 have no
-    nonzero imaginary part, as on every grid model (H = 0, real diagonal
-    jump operators, real Gaussian amplitudes), it forms the product in real
-    arithmetic, rho0.real * exp(c.real t), and the gate then diagonalises a
-    real symmetric matrix.  The entries agree with the complex expression to
-    roundoff, so grid outputs move only in their last digits.
+    Returns the raw states in time order, as an iterable.  The entrywise
+    path yields rho0 * exp(c t) one time at a time, so a caller that
+    consumes each state before taking the next holds one raw state at most.
+    When c and rho0 have no nonzero imaginary part, as on every grid model
+    (H = 0, real diagonal jump operators, real Gaussian amplitudes), it
+    forms the product in real arithmetic, rho0.real * exp(c.real t), and
+    the gate then diagonalises a real symmetric matrix.  The entries agree
+    with the complex expression to roundoff, so grid outputs move only in
+    their last digits.
     """
     path = _exact_path(model)
     if path == "entrywise":
         c = model._diagonal_coefficients
         if not c.imag.any() and not rho0.imag.any():
             c, rho0 = c.real, rho0.real
-        return [rho0 * np.exp(c * t) for t in times]
+        return (rho0 * np.exp(c * t) for t in times)
     if path == "sparse_expm_multiply":
         return _propagate_sparse(model, rho0, times)
     d = model.dim
@@ -494,9 +499,12 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
     one per interval otherwise.
 
     Every output is re-symmetrized, renormalized and checked against the
-    1e-8 invariant gate (_validated_state); violations raise
-    IntegrationFailure.  Each returned state was diagonalised exactly once,
-    and its ``min_eigenvalue`` is the value the gate judged.  The
+    1e-8 invariant gate (_validated_state) as soon as it is formed, and its
+    trace error is recorded in the same pass; violations raise
+    IntegrationFailure.  On the entrywise path the raw states are formed
+    one at a time, so at most one is alive besides the returned states.
+    Each returned state was diagonalised exactly once, and its
+    ``min_eigenvalue`` is the value the gate judged.  The
     trajectory records the path that ran and the trace errors the gate
     judged, from before renormalisation.
     """
@@ -512,9 +520,11 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
         path, raw = "adaptive_rk", _propagate_rk(model, rho0, times)
     else:
         path, raw = _exact_path(model), _propagate_exact(model, rho0, times)
-    states = [_validated_state(r, t) for r, t in zip(raw, times)]
-    # the gate's (rho + rho^dag)/2 has the real trace of rho, bit for bit
-    trace_errors = [abs(r.trace().real - 1.0) for r in raw]
+    states, trace_errors = [], []
+    for r, t in zip(raw, times):
+        states.append(_validated_state(r, t))
+        # the gate's (rho + rho^dag)/2 has the real trace of rho, bit for bit
+        trace_errors.append(abs(r.trace().real - 1.0))
     return Trajectory(times=times, states=states, path=path, trace_errors=trace_errors)
 
 

@@ -237,11 +237,11 @@ def _embed(op: np.ndarray, mode: int, dims: list[int]) -> np.ndarray:
 def _grw_localization_terms(grid: GridSpec, lam: float, alpha: float):
     """Quadrature discretization of the continuous Gaussian jump family.
 
-    One operator exp(-alpha (x - s)^2 / 2) per grid point s, with trapezoid
-    weight lam * sqrt(alpha/pi) * ds folded into the rate.  Completeness
-    (sum of weighted squared operators close to lam) is verified on the
-    central quarter of the grid; failure means the grid cannot resolve the
-    requested localization width.
+    One operator exp(-alpha (x - s)^2 / 2) per grid point s, stored as its
+    diagonal, with trapezoid weight lam * sqrt(alpha/pi) * ds folded into
+    the rate.  Completeness (sum of weighted squared operators close to
+    lam) is verified on the central quarter of the grid; failure means the
+    grid cannot resolve the requested localization width.
     """
     x = grid.points
     ds = grid.spacing
@@ -250,7 +250,7 @@ def _grw_localization_terms(grid: GridSpec, lam: float, alpha: float):
     total_sq = np.zeros_like(x)
     for s in x:
         diag = np.exp(-alpha * (x - s) ** 2 / 2.0)
-        terms.append(LindbladTerm(weight, Operator(np.diag(diag).astype(complex))))
+        terms.append(LindbladTerm(weight, Operator.from_diagonal(diag)))
         total_sq += weight * diag**2
     n = grid.n_points
     central = slice(3 * n // 8, 5 * n // 8 + 1)

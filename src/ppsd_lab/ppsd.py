@@ -247,7 +247,7 @@ def _diagonal_pure_flow_rhs(model: LindbladModel):
     """
     rates, ell = model._diagonal_jumps
     b = rates @ (np.abs(ell) ** 2)
-    static = -1j * np.diagonal(model.hamiltonian.matrix) - 0.5 * b
+    static = -1j * model.hamiltonian.diagonal - 0.5 * b
 
     def rhs(_t, y):
         p = np.abs(y) ** 2

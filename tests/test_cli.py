@@ -239,6 +239,7 @@ def test_check_dimension_mismatch_exits_two(capsys, tmp_path):
         ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "gaussian:1e300,1"),
         ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "coherent:1"),
         ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "fock:3"),
+        ("--model", "grw", "--grid=-5,5,64", "--dim", "10", "--state", "basis:3"),
     ],
     ids=lambda flags: " ".join(flags[1:]),
 )
@@ -247,6 +248,35 @@ def test_invalid_state_or_dimension_exits_two_with_one_line(capsys, flags):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("simulate", "--model", "thermal_qubit", "--state", "plus", "--steps", "3"),
+        ("ppsd-check", "--model", "thermal_qubit", "--param", "N=0.3", "--state", "plus"),
+    ],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_non_finite_t_max_exits_two(capsys, command, t_max):
+    code, out, err = run_cli(capsys, *command, "--t-max", t_max)
+    assert code == 2
+    assert out == ""
+    assert err == "error: t-max must be finite and > 0\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("grid", ["-inf,5,64", "-1e308,1e308,64"])
+@pytest.mark.parametrize("model", ["position_decoherence", "grw"])
+def test_non_finite_grid_points_exit_two(capsys, model, grid):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", model, f"--grid={grid}", "--state", "basis:3",
+        "--t-max", "1", "--steps", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: matrix entries must be finite" in err
 
 
 def test_basis_token_valid_on_grid_models(capsys):

@@ -285,6 +285,33 @@ def test_position_operator_examples():
     assert eigs.max() - eigs.min() == pytest.approx(2.0, abs=1e-14)
 
 
+def test_diagonal_operator_forms_the_dense_matrix_bit_for_bit():
+    entries = np.array([-1.5, -0.0, 0.0, 2.25, 1e-300])
+    op = Operator.from_diagonal(entries)
+    assert op.dim == 5
+    assert op.diagonal.tobytes() == entries.astype(complex).tobytes()
+    m = op.matrix
+    assert m.dtype == np.complex128 and not m.flags.writeable
+    assert m.tobytes() == np.diag(entries).astype(complex).tobytes()
+    assert op.matrix is m
+    with pytest.raises(FrozenInstanceError):
+        op.matrix = np.eye(5)
+
+
+def test_operator_diagonal_is_none_exactly_off_the_diagonal():
+    _, _, sz, sp, _ = pauli_operators()
+    assert np.array_equal(sz.diagonal, [1.0, -1.0])
+    assert sp.diagonal is None
+    assert not Operator.from_diagonal([1.0, 2.0]).diagonal.flags.writeable
+    assert not position_operator(GridSpec(-1.0, 1.0, 9)).diagonal.flags.writeable
+
+
+@pytest.mark.parametrize("entries", [[1.0, np.inf], [np.nan, 0.0], [[1.0, 2.0]], 3.0])
+def test_diagonal_operator_rejects_non_finite_or_non_vector_entries(entries):
+    with pytest.raises(InvariantViolation):
+        Operator.from_diagonal(entries)
+
+
 def test_grid_spec_invariants():
     with pytest.raises(InvariantViolation):
         GridSpec(1.0, -1.0, 16)

@@ -1,6 +1,7 @@
 """Generator construction, propagation, stationary structure, unitality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,12 +327,30 @@ def test_large_non_diagonal_run_stays_exact_and_sparse(monkeypatch):
 
 
 def test_diagonal_propagation_never_builds_the_dissipator_table():
-    # the table holds L^dag L for each of the 256 dense grid terms; the
-    # entrywise path reads only the cached diagonal coefficients
+    # the table holds L^dag L for each of the 256 grid terms; the entrywise
+    # path reads only the cached diagonal coefficients, formed from the
+    # stored diagonals without densifying a single term
     model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 256)))
     propagate(model, DensityMatrix.maximally_mixed(256), np.linspace(0.0, 1.0, 3))
     assert "_diagonal_coefficients" in model.__dict__
     assert "_dissipators" not in model.__dict__
+    assert not any("matrix" in t.op.__dict__ for t in model.terms)
+
+
+def test_entrywise_propagation_holds_one_raw_state_at_a_time():
+    # 51 raw 256 x 256 states held at once would take 27 MB above the output
+    grid = GridSpec(-5.0, 5.0, 256)
+    model = catalog_model(ModelSpec("position_decoherence", {}, grid))
+    rho0 = _gaussian_density(grid)
+    assert model._diagonal_coefficients is not None
+    tracemalloc.start()
+    try:
+        traj = propagate(model, rho0, np.linspace(0.0, 1.0, 51))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) == 51 and traj.path == "entrywise"
+    assert peak - kept < 16 * 2**20
 
 
 def _gaussian_density(grid, x0=0.3, sigma=0.7):

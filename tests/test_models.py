@@ -1,6 +1,8 @@
 """Model catalog constructors, closed forms, and model-specific analysis."""
 
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +12,10 @@ from ppsd_lab import (
     DensityMatrix,
     GridSpec,
     InvariantViolation,
+    LindbladModel,
+    LindbladTerm,
     ModelSpec,
+    Operator,
     QuadratureInsufficient,
     SearchConfig,
     StateVector,
@@ -35,6 +40,7 @@ from ppsd_lab import (
     three_level_feasibility_scan,
     three_level_ppsd_condition,
 )
+from ppsd_lab.cli import model_to_dict
 from ppsd_lab.models import CATALOG_INFO, MODEL_NAMES, _three_level_polynomial
 
 
@@ -102,6 +108,56 @@ def test_thermal_params_invariants():
 def test_grw_quadrature_guard_trips_on_coarse_grid():
     with pytest.raises(QuadratureInsufficient):
         catalog_model(ModelSpec("grw", {"alpha": 50.0}, GridSpec(-5.0, 5.0, 64)))
+
+
+def test_grw_build_forms_no_dense_term():
+    # 192 dense 192 x 192 complex jump operators alone would take 113 MB
+    spec = ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 192))
+    tracemalloc.start()
+    try:
+        catalog_model(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _dense_grid_model(model, grid, rate_diagonals):
+    """``model`` rebuilt from dense Operator(np.diag(...)) jump operators."""
+    terms = tuple(
+        LindbladTerm(rate, Operator(np.diag(diag).astype(complex)))
+        for rate, diag in rate_diagonals
+    )
+    return LindbladModel(
+        Operator(np.zeros((grid.n_points,) * 2)), terms, grid.n_points,
+        model.label, model.basis_note,
+    )
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name, points", [("grw", 32), ("position_decoherence", 64)])
+def test_diagonal_built_grid_models_match_dense_built_ones_bit_for_bit(name, points):
+    grid = GridSpec(-5.0, 5.0, points)
+    model = catalog_model(ModelSpec(name, {}, grid))
+    x = grid.points
+    if name == "grw":
+        lam, alpha = 1.0, 1.0
+        weight = lam * math.sqrt(alpha / math.pi) * grid.spacing
+        rate_diagonals = [(weight, np.exp(-alpha * (x - s) ** 2 / 2.0)) for s in x]
+    else:
+        rate_diagonals = [(2.0, x)]
+    dense = _dense_grid_model(model, grid, rate_diagonals)
+    for got, want in zip(model._diagonal_jumps, dense._diagonal_jumps):
+        assert _same_bits(got, want)
+    assert _same_bits(model._diagonal_coefficients, dense._diagonal_coefficients)
+    assert len(model._dissipators) == len(dense._dissipators) == len(rate_diagonals)
+    for got, want in zip(model._dissipators, dense._dissipators):
+        assert got[0] == want[0]
+        assert all(_same_bits(g, w) for g, w in zip(got[1:], want[1:]))
+    assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(dense))
 
 
 # ---------------------------------------------------------------------------
