@@ -10,8 +10,10 @@ list-models   enumerate the model catalog with parameters and defaults
 
 Model sources are either a catalog name plus ``--param key=value`` flags or
 a JSON model file (``--model-file``) with fields
-{name, dim, hamiltonian, terms: [{rate, op}], basis_note} and complex entries
-written as [re, im] pairs.
+{name, dim, hamiltonian, terms: [{rate, op}], basis_note, basis} and complex
+entries written as [re, im] pairs.  ``basis`` is "qubit", "levels" or
+[x_min, x_max, n_points] for a grid; a file without it is read as "qubit" at
+dim 2 and "levels" otherwise.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure during
 propagation, 4 reproduction mismatch.  Output is UTF-8 with LF line endings;
@@ -25,7 +27,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -76,25 +77,6 @@ def _check_t_max(t_max: float) -> None:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Validated simulate configuration."""
-
-    model_source: dict
-    t_max: float
-    n_steps: int
-    method: str = "exact_exponential"
-    output_path: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        _check_t_max(self.t_max)
-        if self.n_steps < 2:
-            raise PpsdLabError("steps must be >= 2")
-        if self.format not in ("csv", "json"):
-            raise PpsdLabError("format must be csv or json")
-
-
-@dataclass(frozen=True)
 class ResultRecord:
     """Run metadata plus a self-describing tabular payload."""
 
@@ -130,6 +112,9 @@ def _pairs_to_matrix(pairs) -> np.ndarray:
 
 
 def model_to_dict(model: LindbladModel) -> dict:
+    basis = model.basis
+    if isinstance(basis, GridSpec):
+        basis = [basis.x_min, basis.x_max, basis.n_points]
     return {
         "name": model.label,
         "dim": model.dim,
@@ -139,11 +124,17 @@ def model_to_dict(model: LindbladModel) -> dict:
             for t in model.terms
         ],
         "basis_note": model.basis_note,
+        "basis": basis,
     }
 
 
 def model_from_dict(obj: dict) -> LindbladModel:
     try:
+        dim = int(obj["dim"])
+        basis = obj.get("basis", "qubit" if dim == 2 else "levels")
+        if isinstance(basis, list):
+            x_min, x_max, n_points = basis
+            basis = GridSpec(float(x_min), float(x_max), int(n_points))
         terms = tuple(
             LindbladTerm(float(t["rate"]), _pairs_to_matrix(t["op"]))
             for t in obj["terms"]
@@ -151,9 +142,10 @@ def model_from_dict(obj: dict) -> LindbladModel:
         return LindbladModel(
             hamiltonian=_pairs_to_matrix(obj["hamiltonian"]),
             terms=terms,
-            dim=int(obj["dim"]),
+            dim=dim,
             label=str(obj.get("name", "")),
             basis_note=str(obj.get("basis_note", "")),
+            basis=basis,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PpsdLabError(f"malformed model file: {exc}") from exc
@@ -228,12 +220,13 @@ def resolve_state(token: str, model: LindbladModel, pure_required: bool = False)
     Tokens: plus | minus | excited | ground | vacuum | mixed | basis:i |
     fock:n | coherent:re[,im] | gaussian:x0,sigma | squeezed_candidate |
     file:path.json.  "plus"/"minus" are the equal-weight superpositions of
-    the first two basis vectors; "ground" is the second basis vector for
-    qubit models (excited-first ordering) and the lowest Fock state
-    otherwise.
+    the first two basis vectors.  The rest follow ``model.basis``: "ground"
+    is the second basis vector of a qubit basis (excited first) and the
+    first otherwise; fock and coherent states need a non-grid basis and
+    gaussian states a grid one, sampled at its points.
     """
     d = model.dim
-    on_grid = "grid" in model.basis_note
+    on_grid = isinstance(model.basis, GridSpec)
     inv = 1.0 / math.sqrt(2.0)
     if token == "plus" or token == "minus":
         if d < 2:
@@ -245,7 +238,7 @@ def resolve_state(token: str, model: LindbladModel, pure_required: bool = False)
     if token == "excited":
         return StateVector.basis(d, 0)
     if token == "ground":
-        return StateVector.basis(d, 1 if d == 2 else 0)
+        return StateVector.basis(d, 1 if model.basis == "qubit" else 0)
     if token == "vacuum":
         return StateVector.basis(d, 0)
     if token == "mixed":
@@ -273,7 +266,7 @@ def resolve_state(token: str, model: LindbladModel, pure_required: bool = False)
             raise PpsdLabError(f"state {token!r} needs sigma > 0")
         if not on_grid:
             raise PpsdLabError("gaussian states are for grid models")
-        x = _grid_points_from_note(model)
+        x = model.basis.points
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return StateVector.normalized(np.exp(-((x - x0) ** 2) / (4.0 * sigma**2)))
@@ -312,18 +305,6 @@ def _state_numbers(token: str, counts: tuple[int, ...], form: str) -> list[float
         prefix = token.split(":", 1)[0]
         raise PpsdLabError(f"state {token!r} is not {prefix}:{form} with finite numbers")
     return values
-
-
-def _grid_points_from_note(model: LindbladModel) -> np.ndarray:
-    if model.label == "position_decoherence" and model.terms[0].op.diagonal is not None:
-        return model.terms[0].op.diagonal.real
-    # grid models record "[x_min, x_max] with n points" in their basis note
-    match = re.search(
-        r"\[(-?[\d.eE+]+), (-?[\d.eE+]+)\] with (\d+) points", model.basis_note
-    )
-    if not match:
-        raise PpsdLabError("cannot recover the grid from this model")
-    return np.linspace(float(match.group(1)), float(match.group(2)), int(match.group(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +368,13 @@ def _base_metadata(extra: dict) -> dict:
 
 def cmd_simulate(args) -> int:
     model, meta = resolve_model(args)
-    config = RunConfig(
-        model_source=meta,
-        t_max=args.t_max,
-        n_steps=args.steps,
-        method=args.method,
-        output_path=args.output,
-        format=args.format,
-    )
+    _check_t_max(args.t_max)
+    if args.steps < 2:
+        raise PpsdLabError("steps must be >= 2")
     state = resolve_state(args.state, model)
     rho0 = state if isinstance(state, DensityMatrix) else DensityMatrix.from_state(state)
-    times = np.linspace(0.0, config.t_max, config.n_steps + 1)
-    traj = propagate(model, rho0, times, method=config.method)
+    times = np.linspace(0.0, args.t_max, args.steps + 1)
+    traj = propagate(model, rho0, times, method=args.method)
     bloch = model.dim == 2
     columns = ["t", "purity", "trace_error", "min_eigenvalue"]
     if bloch:
@@ -414,17 +390,17 @@ def cmd_simulate(args) -> int:
                 for s in (sx.matrix, sy.matrix, sz.matrix)
             ]
         rows.append(tuple(row))
-    meta = _base_metadata(config.model_source)
+    meta = _base_metadata(meta)
     meta.update(
         {
             "state": args.state,
-            "t_max": config.t_max,
-            "steps": config.n_steps,
-            "method": config.method,
+            "t_max": args.t_max,
+            "steps": args.steps,
+            "method": args.method,
             "path": traj.path,
         }
     )
-    emit(ResultRecord(meta, tuple(columns), rows), config.format, config.output_path)
+    emit(ResultRecord(meta, tuple(columns), rows), args.format, args.output)
     return 0
 
 

@@ -124,12 +124,6 @@ class Operator:
             return None
         return np.diagonal(m)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T)
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -242,6 +236,9 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
+        # finite exactly when both bounds and the spacing are
+        if not math.isfinite(self.x_max - self.x_min):
+            raise InvariantViolation("grid requires finite bounds and spacing")
         if not self.x_min < self.x_max:
             raise InvariantViolation("grid requires x_min < x_max")
         if self.n_points < 8:

@@ -57,7 +57,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import DimensionMismatch, IntegrationFailure, InvariantViolation
-from .hilbert import HERMITICITY_TOL, DensityMatrix, Operator, _operator_array, purity
+from .hilbert import HERMITICITY_TOL, DensityMatrix, GridSpec, Operator, _operator_array, purity
 
 #: Largest dimension at which a non-diagonal generator is formed densely.
 #: Above it the generator is sparse and propagation uses expm_multiply.
@@ -88,13 +88,21 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """A time-independent Markovian model (H, {gamma_i, L_i})."""
+    """A time-independent Markovian model (H, {gamma_i, L_i}).
+
+    ``basis`` says what the basis vectors are: "qubit" (two levels, excited
+    first; dim 2), "levels" (lowest level first: Fock, atomic and
+    occupation bases) or the model's GridSpec (the i-th vector sits at the
+    i-th grid point; n_points equals dim).  ``basis_note`` is free text for
+    readers and is never parsed.
+    """
 
     hamiltonian: Operator
     terms: tuple[LindbladTerm, ...]
     dim: int
     label: str = ""
     basis_note: str = ""
+    basis: str | GridSpec = "levels"
 
     def __post_init__(self):
         if not isinstance(self.hamiltonian, Operator):
@@ -112,14 +120,14 @@ class LindbladModel:
                 raise DimensionMismatch(
                     f"jump operator dim {term.op.dim} does not match model dim {self.dim}"
                 )
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        return tuple(t.rate for t in self.terms)
-
-    @property
-    def jump_operators(self) -> tuple[np.ndarray, ...]:
-        return tuple(t.op.matrix for t in self.terms)
+        if isinstance(self.basis, GridSpec):
+            basis_dim = self.basis.n_points
+        elif self.basis in ("qubit", "levels"):
+            basis_dim = 2 if self.basis == "qubit" else self.dim
+        else:
+            raise InvariantViolation(f"unknown basis {self.basis!r}")
+        if basis_dim != self.dim:
+            raise DimensionMismatch(f"basis {self.basis!r} needs dim {basis_dim}, got {self.dim}")
 
     def _rated_terms(self):
         """(rate, op) for every nonzero-rate term, in model order; the one
@@ -219,10 +227,6 @@ class Superoperator:
             )
         object.__setattr__(self, "matrix", m)
         self.matrix.setflags(write=False)
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        d = self.dim
-        return (self.matrix @ np.asarray(rho, dtype=complex).reshape(d * d)).reshape(d, d)
 
 
 @dataclass(frozen=True)

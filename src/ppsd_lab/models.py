@@ -269,8 +269,11 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
     Hamiltonians default to zero (models are stated in the frame co-rotating
     with the free evolution) except where the model's physics keeps one:
     the phase-damped oscillator retains omega0 * N and the damped oscillator
-    optionally omega * adag a.  Each model's basis ordering is recorded in
-    ``basis_note``.
+    optionally omega * adag a.  Each model declares its basis in ``basis``:
+    "qubit" for the four two-level models (excited first, ground second),
+    its GridSpec for the two grid models, and the default "levels" (lowest
+    level first) for the Fock, atomic and occupation models.
+    ``basis_note`` describes the ordering in words.
     """
     name = spec.name
     p = _resolve_params(name, spec.params)
@@ -301,6 +304,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             terms=(LindbladTerm(gamma, sz),),
             dim=2,
             label="dephasing_qubit",
+            basis="qubit",
             basis_note="basis (|1>, |0>): Z = diag(+1, -1); generator "
             "gamma (Z rho Z - rho)",
         )
@@ -315,6 +319,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             terms=(LindbladTerm(2.0 * gamma, position_operator(grid)),),
             dim=grid.n_points,
             label="position_decoherence",
+            basis=grid,
             basis_note=f"position grid [{grid.x_min}, {grid.x_max}] with "
             f"{grid.n_points} points; off-diagonals decay as "
             "exp(-gamma t (x-x')^2)",
@@ -332,6 +337,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             terms=tuple(terms),
             dim=2,
             label="thermal_qubit",
+            basis="qubit",
             basis_note="basis (|+>, |->): excited first, ground second; "
             "sigma_minus = |-><+|",
         )
@@ -425,6 +431,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             terms=tuple(terms),
             dim=2,
             label="depolarizing",
+            basis="qubit",
             basis_note="basis (|+>, |->); generator "
             "sum_i gamma_i (sigma_i rho sigma_i - rho)",
         )
@@ -441,6 +448,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             terms=(LindbladTerm(gamma0, Operator(C)),),
             dim=2,
             label="squeezed_vacuum_decay",
+            basis="qubit",
             basis_note="basis (|e>, |g>): excited first, ground second; "
             "jump operator cosh(r) sigma_minus + exp(i theta) sinh(r) sigma_plus",
         )
@@ -494,6 +502,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             terms=tuple(terms),
             dim=grid.n_points,
             label="grw",
+            basis=grid,
             basis_note=f"position grid [{grid.x_min}, {grid.x_max}] with "
             f"{grid.n_points} points; Gaussian localization operators on the "
             "same grid",

@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsd_lab import ModelSpec, build_liouvillian, catalog_model
-from ppsd_lab.cli import load_model, main, model_from_dict, model_to_dict, save_model
+from ppsd_lab import GridSpec, ModelSpec, build_liouvillian, catalog_model
+from ppsd_lab.cli import (
+    load_model,
+    main,
+    model_from_dict,
+    model_to_dict,
+    resolve_state,
+    save_model,
+)
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +52,7 @@ def parse_csv(text):
         ModelSpec("thermal_qubit", {"gamma0": 2.0, "N": 0.3}),
         ModelSpec("squeezed_vacuum_decay", {"r": 0.4, "theta": 1.1}),
         ModelSpec("damped_oscillator", {"dim": 6, "omega": 0.5}),
+        ModelSpec("position_decoherence", {}, GridSpec(-5.0, 5.0, 16)),
     ],
     ids=lambda s: s.name,
 )
@@ -57,6 +65,45 @@ def test_model_file_round_trip_preserves_liouvillian(tmp_path, spec):
     recovered = build_liouvillian(loaded).matrix
     assert np.abs(original - recovered).max() < 1e-15
     assert loaded.basis_note == model.basis_note
+    assert loaded.basis == model.basis
+
+
+@pytest.mark.parametrize(
+    "name", ["dephasing_qubit", "thermal_qubit", "depolarizing", "squeezed_vacuum_decay"]
+)
+def test_ground_is_the_second_basis_vector_of_qubit_models(name):
+    model = catalog_model(ModelSpec(name))
+    assert model.basis == "qubit"
+    assert np.array_equal(resolve_state("ground", model).amplitudes, [0.0, 1.0])
+
+
+def test_model_file_without_basis_reads_the_old_default():
+    legacy = model_to_dict(catalog_model(ModelSpec("thermal_qubit")))
+    del legacy["basis"]
+    assert np.array_equal(resolve_state("ground", model_from_dict(legacy)).amplitudes, [0, 1])
+    grid_spec = ModelSpec("position_decoherence", {}, GridSpec(-5.0, 5.0, 16))
+    legacy = model_to_dict(catalog_model(grid_spec))
+    del legacy["basis"]
+    assert model_from_dict(legacy).basis == "levels"
+
+
+@pytest.mark.parametrize("name", ["damped_oscillator", "phase_damped_oscillator",
+                                  "walls_collet_milburn"])
+def test_ground_of_a_two_level_fock_model_is_the_vacuum(capsys, name):
+    code, out, _ = run_cli(capsys, "ppsd-check", "--model", name, "--dim", "2",
+                           "--state", "ground")
+    assert code == 0
+    assert out.splitlines()[-1] == "0.0,true,0.0,stationary_only"
+
+
+@pytest.mark.parametrize("model", ["position_decoherence", "grw"])
+def test_grid_model_file_simulates_like_the_catalog_model(capsys, tmp_path, model):
+    path = tmp_path / "model.json"
+    save_model(catalog_model(ModelSpec(model, {}, GridSpec(-5.0, 5.0, 16))), str(path))
+    common = ("--state", "gaussian:0.3,0.7", "--t-max", "1", "--steps", "5")
+    _, from_file, _ = run_cli(capsys, "simulate", "--model-file", str(path), *common)
+    _, from_flags, _ = run_cli(capsys, "simulate", "--model", model, "--grid=-5,5,16", *common)
+    assert parse_csv(from_file)[1:] == parse_csv(from_flags)[1:]
 
 
 def test_model_dict_round_trip_complex_entries():
@@ -266,8 +313,8 @@ def test_non_finite_t_max_exits_two(capsys, command, t_max):
     assert err == "error: t-max must be finite and > 0\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("grid", ["-inf,5,64", "-1e308,1e308,64"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", ["-inf,5,64", "-1e308,1e308,64", "nan,5,64", "-5,nan,64"])
 @pytest.mark.parametrize("model", ["position_decoherence", "grw"])
 def test_non_finite_grid_points_exit_two(capsys, model, grid):
     code, out, err = run_cli(
@@ -276,7 +323,23 @@ def test_non_finite_grid_points_exit_two(capsys, model, grid):
     )
     assert code == 2
     assert out == ""
-    assert "error: matrix entries must be finite" in err
+    assert err == f"error: --grid expects xmin,xmax,npoints, got {grid!r}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bounds", [[-math.inf, 5.0], [-1e308, 1e308], [math.nan, 5.0]])
+def test_non_finite_grid_basis_in_model_file_exits_two(capsys, tmp_path, bounds):
+    grid_spec = ModelSpec("position_decoherence", {}, GridSpec(-5.0, 5.0, 16))
+    obj = model_to_dict(catalog_model(grid_spec))
+    obj["basis"] = [*bounds, 16]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(
+        capsys, "simulate", "--model-file", str(path), "--state", "basis:3", "--t-max", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed model file: grid requires finite bounds and spacing\n"
 
 
 def test_basis_token_valid_on_grid_models(capsys):

@@ -317,6 +317,9 @@ def test_grid_spec_invariants():
         GridSpec(1.0, -1.0, 16)
     with pytest.raises(InvariantViolation):
         GridSpec(-1.0, 1.0, 4)
+    for bounds in [(-math.inf, 5.0), (-5.0, math.inf), (math.nan, 5.0), (-1e308, 1e308)]:
+        with pytest.raises(InvariantViolation, match="finite bounds and spacing"):
+            GridSpec(*bounds, 64)
 
 
 @settings(max_examples=60, deadline=None)

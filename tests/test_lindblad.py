@@ -10,6 +10,7 @@ from scipy.linalg import expm
 import ppsd_lab.lindblad as lindblad
 from ppsd_lab import (
     DensityMatrix,
+    DimensionMismatch,
     GridSpec,
     IntegrationFailure,
     InvariantViolation,
@@ -116,6 +117,19 @@ def test_non_hermitian_hamiltonian_rejected():
     _, _, _, sp, _ = pauli_operators()
     with pytest.raises(InvariantViolation):
         LindbladModel(sp, (), dim=2)
+
+
+def test_model_basis_must_match_its_dimension():
+    assert LindbladModel(np.zeros((2, 2)), (), dim=2).basis == "levels"
+    assert LindbladModel(np.zeros((2, 2)), (), dim=2, basis="qubit").basis == "qubit"
+    grid = GridSpec(-1.0, 1.0, 8)
+    assert LindbladModel(np.zeros((8, 8)), (), dim=8, basis=grid).basis == grid
+    with pytest.raises(DimensionMismatch):
+        LindbladModel(np.zeros((3, 3)), (), dim=3, basis="qubit")
+    with pytest.raises(DimensionMismatch):
+        LindbladModel(np.zeros((9, 9)), (), dim=9, basis=grid)
+    with pytest.raises(InvariantViolation):
+        LindbladModel(np.zeros((2, 2)), (), dim=2, basis="grid")
 
 
 # ---------------------------------------------------------------------------

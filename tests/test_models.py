@@ -130,7 +130,7 @@ def _dense_grid_model(model, grid, rate_diagonals):
     )
     return LindbladModel(
         Operator(np.zeros((grid.n_points,) * 2)), terms, grid.n_points,
-        model.label, model.basis_note,
+        model.label, model.basis_note, model.basis,
     )
 
 
