@@ -90,6 +90,7 @@ from .ppsd import (
     residual_scale,
     trace_distance,
     unraveling_check,
+    zero_residual_subspaces,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,16 +4,17 @@ Subcommands
 -----------
 simulate      propagate a density matrix and tabulate purity/Bloch data
 ppsd-check    evaluate the purity-preservation residual of one state
-ppsd-search   search the unit sphere for zero-residual states
+ppsd-search   find zero-residual states (exact on diagonal models)
 reproduce     run one of the packaged quantitative checks end to end
 list-models   enumerate the model catalog with parameters and defaults
 
 Model sources are either a catalog name plus ``--param key=value`` flags or
 a JSON model file (``--model-file``) with fields
 {name, dim, hamiltonian, terms: [{rate, op}], basis_note, basis} and complex
-entries written as [re, im] pairs.  ``basis`` is "qubit", "levels" or
-[x_min, x_max, n_points] for a grid; a file without it is read as "qubit" at
-dim 2 and "levels" otherwise.
+entries written as [re, im] pairs; a diagonal operator is written as the
+list of its d diagonal pairs, any other as d x d.  ``basis`` is "qubit",
+"levels" or [x_min, x_max, n_points] for a grid; a file without it is read
+as "qubit" at dim 2 and "levels" otherwise.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure during
 propagation, 4 reproduction mismatch.  Output is UTF-8 with LF line endings;
@@ -38,6 +39,7 @@ from .errors import IntegrationFailure, PpsdLabError
 from .hilbert import (
     DensityMatrix,
     GridSpec,
+    Operator,
     StateVector,
     coherent_state,
     pauli_operators,
@@ -66,6 +68,7 @@ from .ppsd import (
     is_stationary_state,
     ppsd_residual,
     ppsd_search,
+    zero_residual_subspaces,
 )
 
 REPRODUCE_TARGETS = ("eq3", "eq5", "eq16", "fig2", "fig3", "b13", "b16", "grw")
@@ -111,6 +114,21 @@ def _pairs_to_matrix(pairs) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _operator_to_pairs(op: Operator) -> list:
+    """A diagonal operator as its d [re, im] pairs, any other as d x d."""
+    if op.diagonal is None:
+        return _matrix_to_pairs(op.matrix)
+    return [[float(z.real), float(z.imag)] for z in op.diagonal]
+
+
+def _pairs_to_operator(pairs) -> Operator:
+    """Inverse of _operator_to_pairs: a rank-2 array of pairs is a diagonal."""
+    arr = np.asarray(pairs, dtype=float)
+    if arr.ndim == 2 and arr.shape[1] == 2:
+        return Operator.from_diagonal(arr[:, 0] + 1j * arr[:, 1])
+    return Operator(_pairs_to_matrix(arr))
+
+
 def model_to_dict(model: LindbladModel) -> dict:
     basis = model.basis
     if isinstance(basis, GridSpec):
@@ -118,9 +136,9 @@ def model_to_dict(model: LindbladModel) -> dict:
     return {
         "name": model.label,
         "dim": model.dim,
-        "hamiltonian": _matrix_to_pairs(model.hamiltonian.matrix),
+        "hamiltonian": _operator_to_pairs(model.hamiltonian),
         "terms": [
-            {"rate": float(t.rate), "op": _matrix_to_pairs(t.op.matrix)}
+            {"rate": float(t.rate), "op": _operator_to_pairs(t.op)}
             for t in model.terms
         ],
         "basis_note": model.basis_note,
@@ -136,11 +154,11 @@ def model_from_dict(obj: dict) -> LindbladModel:
             x_min, x_max, n_points = basis
             basis = GridSpec(float(x_min), float(x_max), int(n_points))
         terms = tuple(
-            LindbladTerm(float(t["rate"]), _pairs_to_matrix(t["op"]))
+            LindbladTerm(float(t["rate"]), _pairs_to_operator(t["op"]))
             for t in obj["terms"]
         )
         return LindbladModel(
-            hamiltonian=_pairs_to_matrix(obj["hamiltonian"]),
+            hamiltonian=_pairs_to_operator(obj["hamiltonian"]),
             terms=terms,
             dim=dim,
             label=str(obj.get("name", "")),
@@ -183,11 +201,16 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _parse_grid(text: str) -> GridSpec:
+    refusal = f"--grid expects xmin,xmax,npoints, got {text!r}"
     try:
         x_min, x_max, n = text.split(",")
-        return GridSpec(float(x_min), float(x_max), int(n))
-    except (ValueError, PpsdLabError) as exc:
-        raise PpsdLabError(f"--grid expects xmin,xmax,npoints, got {text!r}") from exc
+        bounds = float(x_min), float(x_max), int(n)
+    except ValueError as exc:
+        raise PpsdLabError(refusal) from exc
+    try:
+        return GridSpec(*bounds)
+    except PpsdLabError as exc:
+        raise PpsdLabError(f"{refusal}: {exc}") from exc
 
 
 def resolve_model(args) -> tuple[LindbladModel, dict]:
@@ -315,6 +338,8 @@ def _state_numbers(token: str, counts: tuple[int, ...], form: str) -> list[float
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(_fmt(v) for v in value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -375,7 +400,7 @@ def cmd_simulate(args) -> int:
     rho0 = state if isinstance(state, DensityMatrix) else DensityMatrix.from_state(state)
     times = np.linspace(0.0, args.t_max, args.steps + 1)
     traj = propagate(model, rho0, times, method=args.method)
-    bloch = model.dim == 2
+    bloch = model.basis == "qubit"
     columns = ["t", "purity", "trace_error", "min_eigenvalue"]
     if bloch:
         columns += ["n_x", "n_y", "n_z"]
@@ -438,8 +463,13 @@ def cmd_ppsd_search(args) -> int:
         n_restarts=args.restarts, seed=args.seed, residual_tol=args.tol
     )
     reports = ppsd_search(model, config)
+    groups = zero_residual_subspaces(model)
     meta = _base_metadata(meta)
     meta.update({"restarts": args.restarts, "seed": args.seed, "tol": args.tol})
+    if groups is None:
+        meta["zero_set"] = "sampled"
+    else:
+        meta.update({"zero_set": "exact", "subspace_dims": [len(g) for g in groups]})
     extra = {} if reports else {"note": "no PPSD states found"}
     record = ResultRecord(
         meta,

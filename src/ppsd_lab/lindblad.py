@@ -36,12 +36,13 @@ A model caches its per-term data on first use.  ``_dissipators`` holds
 generator builders and the residual, gradient and search kernels.  When H
 and every L are diagonal, ``_diagonal_jumps`` holds the same terms stacked
 as rates (k,) and diagonals (k, d); the entrywise coefficients
-(``_diagonal_coefficients``, one matrix product) and the pure-flow RHS in
-``ppsd`` read it.  Grid operators are stored as their diagonals
-(``Operator.from_diagonal``), so a diagonal grid model is built, propagates
-and runs its pure flow without forming a d x d array per term.  The search
-kernels stay on ``_dissipators`` for every model: their floating-point
-order decides which restarts pass the residual gate.
+(``_diagonal_coefficients``, one matrix product) and, in ``ppsd``, the
+pure-flow RHS, the residual, its scale and the exact zero-residual set read
+it.  Grid operators are stored as their diagonals
+(``Operator.from_diagonal``), so a diagonal grid model is built, propagates,
+is checked and is searched without forming a d x d array per term.  The
+sphere-search kernels read ``_dissipators`` and run on non-diagonal models
+only.
 """
 
 from __future__ import annotations
@@ -138,9 +139,10 @@ class LindbladModel:
     def _dissipators(self) -> tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...]:
         """(rate, L, L^dag, L^dag L) for every nonzero-rate term, in model order.
 
-        The table every generator, residual and search kernel reads.  It is
-        built on first use and cached on the (immutable) model; diagonal
-        models propagate and run the pure flow from ``_diagonal_jumps`` and
+        The table every generator, residual and search kernel of a
+        non-diagonal model reads.  It is built on first use and cached on
+        the (immutable) model; diagonal models propagate, run the pure flow
+        and evaluate and search the residual from ``_diagonal_jumps`` and
         never build it there.  An operator built from its diagonal forms
         its d x d matrix here, on first use, and not before.
         """
@@ -162,9 +164,10 @@ class LindbladModel:
         model order.  The predicate covers H and every term, zero-rate terms
         included, and is each operator's ``Operator.diagonal``: an operator
         built from its diagonal is read as stored, so a grid model forms no
-        d x d array per term here.  The entrywise coefficients and the
-        pure-flow RHS of a diagonal model read this form instead of the
-        dense ``_dissipators`` table.
+        d x d array per term here.  The entrywise coefficients, the
+        pure-flow RHS, the residual, its scale and the exact zero set of a
+        diagonal model read this form instead of the dense
+        ``_dissipators`` table.
         """
         if any(op.diagonal is None for op in [self.hamiltonian] + [t.op for t in self.terms]):
             return None

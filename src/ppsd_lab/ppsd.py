@@ -12,9 +12,10 @@ a simultaneous eigenvector of every jump operator with nonzero rate.
 
 This module evaluates the residual R, builds the state-dependent effective
 (non-Hermitian) generator of the purity-preserving flow, integrates that flow,
-checks candidate pure trajectories against the full master equation, searches
-the unit sphere for zero-residual states, verifies pure-state unravelings of
-density-matrix trajectories, and evaluates projector history chains.
+checks candidate pure trajectories against the full master equation, finds
+the zero-residual states (exactly on diagonal models, by a sphere search on
+the others), verifies pure-state unravelings of density-matrix trajectories,
+and evaluates projector history chains.
 """
 
 from __future__ import annotations
@@ -138,7 +139,15 @@ class HistoryChain:
 
 
 def residual_scale(model: LindbladModel) -> float:
-    """sum_i gamma_i ||L_i||_2^2, the natural rate scale of the residual."""
+    """sum_i gamma_i ||L_i||_2^2, the natural rate scale of the residual.
+
+    On a diagonal model ||L_k||_2 = max_i |ell_ki|, read from the stacked
+    diagonals; other models take one 2-norm SVD per term.
+    """
+    jumps = model._diagonal_jumps
+    if jumps is not None:
+        rates, ell = jumps
+        return float(rates @ (np.abs(ell) ** 2).max(axis=1))
     total = 0.0
     for rate, L, _, _ in model._dissipators:
         total += rate * float(np.linalg.norm(L, 2)) ** 2
@@ -179,10 +188,25 @@ def ppsd_residual(model: LindbladModel, psi) -> float:
     """Purity-loss rate R(psi) = sum_i gamma_i (<L_i^dag L_i> - <L_i><L_i^dag>).
 
     Equals sum_i gamma_i Var(L_i, psi) when every jump operator is Hermitian.
-    It is the search's value: term by term in model order, with <L^dag L>
-    taken as ||L psi||^2, so it is real by construction.
+    It is real by construction.  A diagonal model evaluates it in O(kd) on
+    p = |psi|^2 and its stacked diagonals,
+
+        R = gamma . (|ell|^2 p - |ell p|^2);
+
+    any other model takes the sphere search's value: term by term in model
+    order, with <L^dag L> taken as ||L psi||^2.
     """
-    return float(_residual_value(model._dissipators, _model_state(model, psi)))
+    return float(_model_residual(model, _model_state(model, psi)))
+
+
+def _model_residual(model: LindbladModel, v: np.ndarray):
+    """R at unit v, on the diagonal form when the model has one."""
+    jumps = model._diagonal_jumps
+    if jumps is None:
+        return _residual_value(model._dissipators, v)
+    rates, ell = jumps
+    p = np.abs(v) ** 2
+    return rates @ (np.abs(ell) ** 2 @ p - np.abs(ell @ p) ** 2)
 
 
 def effective_hamiltonian(model: LindbladModel, psi) -> Operator:
@@ -363,9 +387,7 @@ def consistency_check(
         trace_distance(np.outer(p.amplitudes, p.amplitudes.conj()), s.matrix)
         for p, s in zip(pure_path, traj.states)
     )
-    max_resid = max(
-        float(_residual_value(model._dissipators, p.amplitudes)) for p in pure_path
-    )
+    max_resid = max(float(_model_residual(model, p.amplitudes)) for p in pure_path)
     max_impurity = float(np.max(1.0 - traj.purities))
     stationary = is_stationary_state(model, psi0)
     if stationary:
@@ -562,10 +584,72 @@ def _default_consistency_horizon(model: LindbladModel) -> float:
     return 2.0 / scale if scale > 0 else 1.0
 
 
-def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> list[PpsdReport]:
-    """Search the unit sphere for zero-residual pure states.
+def zero_residual_subspaces(model: LindbladModel) -> list[list[int]] | None:
+    """The exact zero-residual set of a diagonal model, or None.
 
-    Each seeded restart runs three stages:
+    When H and every jump operator are diagonal, R = gamma . (|ell|^2 p -
+    |ell p|^2) with p = |psi|^2 is a rate-weighted sum of variances of the
+    diagonals under p.  It vanishes exactly when p sits on basis vectors
+    that share one signature ell[:, i] over the nonzero-rate terms (the
+    simplest case of Shemesh, Linear Algebra Appl. 62 (1984) 11).  Returns
+    those groups of basis indices, each ascending, ordered by their
+    smallest index: every state supported on one group has zero residual,
+    and no other state has.  Signatures are compared exactly, with no
+    tolerance, since distinct but tiny values (the Gaussian tails of a
+    localisation family) are distinct signatures.
+
+    Any other model returns None: its zero set is only sampled, by the
+    sphere search.  This is the one place that decides which of the two
+    ``ppsd_search`` gives.
+    """
+    jumps = model._diagonal_jumps
+    if jumps is None:
+        return None
+    groups: dict[tuple, list[int]] = {}
+    for i, signature in enumerate(jumps[1].T.tolist()):
+        groups.setdefault(tuple(signature), []).append(i)
+    return list(groups.values())
+
+
+def _zero_set_reports(
+    model: LindbladModel, groups: list[list[int]], gate: float, rel_tol: float
+) -> list[PpsdReport]:
+    """One stationary report per basis vector of the exact zero set, group
+    by group; a vector failing the residual gate or the stationarity check
+    raises InvariantViolation rather than being dropped."""
+    reports = []
+    for i in [i for group in groups for i in group]:
+        psi = StateVector.basis(model.dim, i)
+        residual = ppsd_residual(model, psi)
+        if not residual < gate:
+            raise InvariantViolation(
+                f"basis vector {i}: residual {residual:.3e} not below the gate {gate:.3e}"
+            )
+        if not is_stationary_state(model, psi, rel_tol):
+            raise InvariantViolation(f"basis vector {i} of the zero set is not stationary")
+        reports.append(
+            PpsdReport(
+                residual=max(residual, 0.0),
+                state=psi,
+                is_stationary=True,
+                consistency_gap=0.0,
+                verdict=VERDICT_STATIONARY,
+            )
+        )
+    return reports
+
+
+def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> list[PpsdReport]:
+    """Find the zero-residual pure states of a model.
+
+    A diagonal model has an exact answer (``zero_residual_subspaces``): the
+    search reports every basis vector, group by group, each stationary
+    with gap 0, and runs no restart, so neither ``n_restarts`` nor ``seed``
+    changes its result.  A superposition within a group also has zero
+    residual and is not listed; the group sizes say where one exists.
+
+    Any other model is searched on the unit sphere.  Each seeded restart
+    runs three stages:
 
       1. Nelder-Mead on the real/imaginary coordinates of an unnormalized
          state, with the residual evaluated on the normalized vector
@@ -587,19 +671,26 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
     stationary_only; non-stationary ones are consistency-checked against the
     master equation.  An empty list means no pure state can satisfy the
     purity-preservation condition at the configured tolerance -- a meaningful
-    outcome, not a failure.
+    outcome, not a failure.  A model without dissipation returns an empty
+    list too.
 
     Restarts run on up to PPSD_LAB_THREADS threads; results are identical
-    for identical seeds regardless of thread count.
+    for identical seeds regardless of thread count.  The variable is
+    validated on every call, also where no restart runs.
     """
-    terms = model._dissipators
-    d = model.dim
+    n_threads = min(_thread_count(), config.n_restarts)
     scale = residual_scale(model)
-    if not terms or scale == 0.0:
+    if scale == 0.0:
         # No dissipation: every state trivially preserves purity; report the
         # configuration as "no zero-residual candidates" rather than the
         # whole sphere.
         return []
+    groups = zero_residual_subspaces(model)
+    if groups is not None:
+        gate = config.residual_tol * scale
+        return _zero_set_reports(model, groups, gate, config.residual_tol)
+    terms = model._dissipators
+    d = model.dim
     rng = np.random.default_rng(config.seed)
     starts = rng.standard_normal((config.n_restarts, 2 * d))
 
@@ -625,7 +716,6 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
         val, v = _polish_on_sphere(terms, v / nrm)
         return _mean_field_refine(terms, v)
 
-    n_threads = min(_thread_count(), config.n_restarts)
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             results = list(pool.map(run_restart, starts))

@@ -4,13 +4,22 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsd_lab import GridSpec, ModelSpec, build_liouvillian, catalog_model
+from ppsd_lab import (
+    GridSpec,
+    LindbladModel,
+    LindbladTerm,
+    ModelSpec,
+    Operator,
+    build_liouvillian,
+    catalog_model,
+)
 from ppsd_lab.cli import (
     load_model,
     main,
@@ -112,6 +121,31 @@ def test_model_dict_round_trip_complex_entries():
     np.testing.assert_array_equal(again.terms[0].op.matrix, model.terms[0].op.matrix)
 
 
+def test_model_file_keeps_diagonal_operators_as_diagonals(tmp_path):
+    model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 64)))
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    obj = json.loads(path.read_text())
+    assert np.asarray(obj["terms"][0]["op"]).shape == (64, 2)
+    loaded = load_model(str(path))
+    for ours, theirs in zip(model._diagonal_jumps, loaded._diagonal_jumps):
+        assert ours.tobytes() == theirs.tobytes()
+    assert not any("matrix" in t.op.__dict__ for t in loaded.terms)
+
+
+def test_model_file_diagonal_of_the_wrong_length_exits_two(capsys, tmp_path):
+    obj = model_to_dict(catalog_model(ModelSpec("dephasing_qubit")))
+    obj["terms"][0]["op"].append([0.0, 0.0])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(
+        capsys, "simulate", "--model-file", str(path), "--t-max", "1", "--state", "plus"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unreadable_model_file_exits_two(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, err = run_cli(
@@ -172,6 +206,16 @@ def test_simulate_thermal_relaxation_to_ground(capsys):
     assert abs(final["n_z"] + 1.0) < 1e-6
     assert abs(final["n_x"]) < 1e-6 and abs(final["n_y"]) < 1e-6
     assert final["purity"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_simulate_prints_no_bloch_columns_off_a_qubit_basis(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--model", "damped_oscillator", "--dim", "2",
+        "--state", "ground", "--t-max", "1", "--steps", "2",
+    )
+    assert code == 0
+    _, header, _ = parse_csv(out)
+    assert header == ["t", "purity", "trace_error", "min_eigenvalue"]
 
 
 def test_simulate_rejects_zero_horizon(capsys):
@@ -323,7 +367,28 @@ def test_non_finite_grid_points_exit_two(capsys, model, grid):
     )
     assert code == 2
     assert out == ""
-    assert err == f"error: --grid expects xmin,xmax,npoints, got {grid!r}\n"
+    assert err == (
+        f"error: --grid expects xmin,xmax,npoints, got {grid!r}: "
+        "grid requires finite bounds and spacing\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        ("5,-5,64", ": grid requires x_min < x_max"),
+        ("-5,5,4", ": grid requires at least 8 points"),
+        ("-5,5", ""),
+        ("-5,5,6.5", ""),
+    ],
+)
+def test_refused_grid_names_the_failed_condition(capsys, grid, reason):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "grw", f"--grid={grid}", "--t-max", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --grid expects xmin,xmax,npoints, got {grid!r}{reason}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -527,6 +592,73 @@ def test_search_phase_damped_finds_all_fock_states(capsys):
     _, header, rows = parse_csv(out)
     assert len(rows) == 10
     assert all(r[header.index("is_stationary")] == "true" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, zero_set, dims",
+    [
+        (("--model", "thermal_qubit", "--restarts", "4"), "sampled", None),
+        (("--model", "walls_collet_milburn", "--dim", "4"), "exact", "1;1;1;1"),
+    ],
+    ids=["sampled", "exact"],
+)
+def test_search_metadata_names_the_zero_set(capsys, argv, zero_set, dims):
+    code, out, _ = run_cli(capsys, "ppsd-search", *argv)
+    assert code == 0
+    meta, _, _ = parse_csv(out)
+    assert meta["zero_set"] == zero_set
+    assert meta.get("subspace_dims") == dims
+
+
+def test_search_returns_every_grid_point_of_a_grw_model(capsys):
+    code, out, _ = run_cli(
+        capsys, "ppsd-search", "--model", "grw", "--grid=-5,5,32", "--restarts", "1",
+        "--format", "json",
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["metadata"]["zero_set"] == "exact"
+    assert obj["metadata"]["subspace_dims"] == [1] * 32
+    states = [[complex(z) for z in row[4].split(";")] for row in obj["rows"]]
+    assert np.array_equal(np.abs(states), np.eye(32))
+
+
+def test_search_reports_a_repeated_signature_as_one_subspace(capsys, tmp_path):
+    model = LindbladModel(
+        hamiltonian=Operator(np.diag([0.0, 1.0, 2.0])),
+        terms=(LindbladTerm(1.0, Operator.from_diagonal([1.0, 3.0, 1.0])),),
+        dim=3,
+    )
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    code, out, _ = run_cli(capsys, "ppsd-search", "--model-file", str(path))
+    assert code == 0
+    meta, header, rows = parse_csv(out)
+    assert meta["subspace_dims"] == "2;1"
+    assert [r[header.index("state")] for r in rows] == [
+        "1+0j;0+0j;0+0j", "0+0j;0+0j;1+0j", "0+0j;1+0j;0+0j",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ppsd-check", "--state", "gaussian:0.5,0.7"),
+        ("ppsd-search", "--restarts", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_grid_commands_stay_within_a_memory_bound(capsys, argv):
+    # the dense per-term table of a 192-point grw model alone is 340 MB
+    tracemalloc.start()
+    try:
+        code = main([argv[0], "--model", "grw", "--grid=-5,5,192", *argv[1:]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 64 * 2**20
 
 
 def test_search_deterministic_across_runs(tmp_path):

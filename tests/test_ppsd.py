@@ -21,6 +21,7 @@ from ppsd_lab import (
     evolve_pure_nonlinear,
     fidelity,
     fock_operators,
+    hermitian_lindblad_fixed_points,
     history_chain,
     is_stationary_state,
     liouvillian_action,
@@ -33,6 +34,7 @@ from ppsd_lab import (
     squeezed_ppsd_state,
     unraveling_check,
     variance,
+    zero_residual_subspaces,
 )
 from ppsd_lab import ppsd
 from ppsd_lab.errors import DimensionMismatch
@@ -511,6 +513,94 @@ def test_thread_cap_validation(monkeypatch):
     monkeypatch.setenv("PPSD_LAB_THREADS", "0")
     with pytest.raises(InvariantViolation):
         ppsd_search(model, SearchConfig(n_restarts=2, seed=0))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("phase_damped_oscillator", {"dim": 10}),
+        ModelSpec("walls_collet_milburn", {"dim": 10}),
+        ModelSpec("csl", {}),
+    ],
+    ids=lambda s: s.name,
+)
+def test_diagonal_search_is_the_exact_fixed_point_set(monkeypatch, spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagonal model ran a sphere-search restart")
+
+    monkeypatch.setattr(ppsd, "minimize", refuse)
+    reference = hermitian_lindblad_fixed_points(catalog_model(spec))
+    for seed in (0, 1):
+        for restarts in (1, 160):
+            model = catalog_model(spec)
+            reports = ppsd_search(model, SearchConfig(n_restarts=restarts, seed=seed))
+            assert "_dissipators" not in model.__dict__
+            assert len(reports) == len(reference)
+            for ref in reference:
+                matches = [r for r in reports if fidelity(r.state, ref) >= 1.0 - 1e-12]
+                assert len(matches) == 1
+            for rep in reports:
+                assert rep.verdict == "stationary_only" and rep.is_stationary
+                assert rep.consistency_gap == 0.0
+
+
+def _diagonal_model(*diagonals):
+    """H = 0 and one unit-rate jump operator per given diagonal."""
+    dim = len(diagonals[0])
+    return LindbladModel(
+        hamiltonian=Operator(np.zeros((dim, dim))),
+        terms=tuple(LindbladTerm(1.0, Operator.from_diagonal(d)) for d in diagonals),
+        dim=dim,
+    )
+
+
+def test_zero_residual_subspaces_group_equal_signatures_exactly():
+    # indices 0 and 2 share (1, 5); 1 and 3 differ from (2, 7) only in the
+    # last bit of the first entry, which is a different signature
+    model = _diagonal_model([1.0, 2.0, 1.0, 2.0 + 2**-51], [5.0, 7.0, 5.0, 7.0])
+    assert zero_residual_subspaces(model) == [[0, 2], [1], [3]]
+    reports = ppsd_search(model)
+    assert [int(np.argmax(np.abs(r.state.amplitudes))) for r in reports] == [0, 2, 1, 3]
+    inside = StateVector.normalized([1.0, 0.0, 1.0j, 0.0])
+    assert ppsd_residual(model, inside) < 1e-15 * residual_scale(model)
+    across = StateVector.normalized([1.0, 1.0, 0.0, 0.0])
+    assert ppsd_residual(model, across) == pytest.approx(0.25 + 1.0)
+
+
+def test_diagonal_search_raises_rather_than_drops_a_basis_vector(monkeypatch):
+    monkeypatch.setattr(ppsd, "is_stationary_state", lambda *args: False)
+    with pytest.raises(InvariantViolation, match="not stationary"):
+        ppsd_search(catalog_model(DEPHASING))
+
+
+def test_zero_residual_subspaces_is_none_off_the_diagonal():
+    assert zero_residual_subspaces(catalog_model(ModelSpec("thermal_qubit", {}))) is None
+
+
+DIAGONAL_SPECS = (
+    ModelSpec("dephasing_qubit", {"gamma": 0.7}),
+    ModelSpec("phase_damped_oscillator", {"dim": 10}),
+    ModelSpec("csl", {}),
+    ModelSpec("grw", {}, GridSpec(-6.0, 6.0, 32)),
+    ModelSpec("position_decoherence", {}, GridSpec(-5.0, 5.0, 32)),
+)
+
+
+@pytest.mark.parametrize("spec", DIAGONAL_SPECS, ids=lambda s: s.name)
+def test_diagonal_residual_kernels_match_the_table(spec):
+    model = catalog_model(spec)
+    table = catalog_model(spec)._dissipators
+    svd_scale = sum(rate * np.linalg.norm(L, 2) ** 2 for rate, L, _, _ in table)
+    scale = residual_scale(model)
+    assert scale == pytest.approx(svd_scale, rel=1e-14)
+    rng = np.random.default_rng(44)
+    for _ in range(10):
+        psi = random_state(rng, model.dim)
+        expected = ppsd._residual_value(table, psi.amplitudes)
+        assert abs(ppsd_residual(model, psi) - expected) <= 1e-13 * scale
+    report = consistency_check(model, random_state(rng, model.dim), t_max=0.5, n_steps=5)
+    assert report.residual >= 0.0
+    assert "_dissipators" not in model.__dict__
 
 
 def test_search_driven_oscillator_respects_additive_bound():
