@@ -18,8 +18,7 @@ as "qubit" at dim 2 and "levels" otherwise.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure during
 propagation, 4 reproduction mismatch.  Output is UTF-8 with LF line endings;
-files are written atomically (temp file + rename).  The environment variable
-PPSD_LAB_THREADS caps internal parallelism (search restarts).
+files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -68,6 +67,7 @@ from .ppsd import (
     is_stationary_state,
     ppsd_residual,
     ppsd_search,
+    residual_scale,
     zero_residual_subspaces,
 )
 
@@ -470,7 +470,12 @@ def cmd_ppsd_search(args) -> int:
         meta["zero_set"] = "sampled"
     else:
         meta.update({"zero_set": "exact", "subspace_dims": [len(g) for g in groups]})
-    extra = {} if reports else {"note": "no PPSD states found"}
+    if reports:
+        extra = {}
+    elif residual_scale(model) == 0.0:
+        extra = {"note": "no dissipation: every state keeps its purity"}
+    else:
+        extra = {"note": "no PPSD states found"}
     record = ResultRecord(
         meta,
         ("residual", "is_stationary", "consistency_gap", "verdict", "state"),
@@ -771,7 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ppsd-lab",
         description="Markovian open-system models, purity dynamics, and "
         "pure-pure-state-dynamics analysis.",
-        epilog="PPSD_LAB_THREADS caps internal parallelism (default 1).",
     )
     parser.add_argument("--version", action="version", version=f"ppsd-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,8 +20,6 @@ and evaluates projector history chains.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -411,17 +409,6 @@ def consistency_check(
 # ---------------------------------------------------------------------------
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PPSD_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InvariantViolation(f"PPSD_LAB_THREADS={raw!r} is not an integer") from exc
-    if n < 1:
-        raise InvariantViolation("PPSD_LAB_THREADS must be a positive integer")
-    return n
-
-
 def _residual_value(terms, v):
     """Residual at unit psi, summed term by term in order (no gradient)."""
     val = 0.0
@@ -447,33 +434,38 @@ def _residual_grad(terms, v):
     return grad
 
 
-def _polish_on_sphere(terms, v, max_iter: int = 400):
+def _descend_on_sphere(value, grad, v, step, max_step, min_step, gn2_floor, max_iter):
     """Projected-gradient descent with Armijo backtracking on the unit sphere.
 
-    Trial points are judged by value alone; the gradient is computed only at
-    the start point and at each accepted point.
+    The Riemannian descent of Absil, Mahony & Sepulchre, *Optimization
+    Algorithms on Matrix Manifolds* (2008), for an objective ``value(u)``
+    with Wirtinger gradient ``grad(u)``, from a unit start v.  Trial points
+    are judged by value alone; the gradient is evaluated once per iteration,
+    at the current point.  The step carries over between iterations: it
+    doubles (up to ``max_step``) after an accepted point and halves while
+    backtracking.  Descent stops when the squared projected gradient norm
+    falls below ``gn2_floor``, when backtracking passes ``min_step``, or
+    after ``max_iter`` iterations.  Returns (value, v) at the last accepted
+    point.
     """
-    v = v / np.linalg.norm(v)
-    val, grad = _residual_value(terms, v), _residual_grad(terms, v)
-    step = 1.0
+    val = value(v)
     for _ in range(max_iter):
-        rgrad = grad - np.vdot(v, grad) * v
-        gn2 = np.vdot(rgrad, rgrad).real
-        if gn2 < 1e-30:
+        g = grad(v)
+        g = g - np.vdot(v, g) * v
+        gn2 = np.vdot(g, g).real
+        if gn2 < gn2_floor:
             break
-        improved = False
-        while step > 1e-14:
-            cand = v - step * rgrad
+        while step > min_step:
+            cand = v - step * g
             cand = cand / np.linalg.norm(cand)
-            cand_val = _residual_value(terms, cand)
+            cand_val = value(cand)
             if cand_val < val - 0.25 * step * gn2:
-                v, val, grad = cand, cand_val, _residual_grad(terms, cand)
-                step = min(step * 2.0, 1e6)
-                improved = True
+                v, val = cand, cand_val
+                step = min(step * 2.0, max_step)
                 break
             step *= 0.5
-        if not improved:
-            break
+        else:
+            break  # backtracking found no descent
     return val, v
 
 
@@ -507,7 +499,7 @@ def _mean_field_refine(terms, v, max_iter: int = 12):
         val_new = _residual_value(terms, v_new)
         if val_new < best_val + slack:
             best_val, best_v = min(val_new, best_val), v_new
-        if abs(1.0 - abs(np.vdot(v_new, v)) ** 2) < 1e-28:
+        if np.linalg.norm(v_new - np.vdot(v, v_new) * v) < 1e-14:
             break
         v = v_new
     return best_val, best_v
@@ -521,45 +513,35 @@ def _stationarity_snap(model: LindbladModel, v: np.ndarray) -> np.ndarray:
     the state only to ~(machine eps)^(1/4).  The stationarity functional
     f(psi) = ||L[|psi><psi|]||_F^2 is quadratic in the state error and can
     be polished to machine precision; candidates whose defect is already
-    within 1e-3 of the generator scale are refined by projected descent on
-    f, guarded by a fidelity check so the snap never changes the candidate.
+    within 1e-3 of the generator scale are refined by the search's own
+    sphere descent, run on f with steps scaled by 1/||L||^2, guarded by a
+    fidelity check so the snap never changes the candidate.
     """
     norm = liouvillian_norm(model)
     if norm == 0.0:
         return v
-    rho = np.outer(v, v.conj())
-    defect = stationarity_defect(model, rho)
+    defect = stationarity_defect(model, np.outer(v, v.conj()))
     if defect > 1e-3 * norm or defect == 0.0:
         return v
-    current = v.copy()
-    f_val = defect**2
+
+    def value(u):
+        return stationarity_defect(model, np.outer(u, u.conj())) ** 2
 
     def grad(u):
         rho_u = np.outer(u, u.conj())
         b = liouvillian_adjoint_action(model, liouvillian_action(model, rho_u))
         return 2.0 * (b @ u)
 
-    step = 1.0 / (4.0 * norm**2)
-    for _ in range(200):
-        g = grad(current)
-        g = g - np.vdot(current, g) * current
-        gn2 = np.vdot(g, g).real
-        if gn2 < (1e-14 * norm) ** 2 * 4:
-            break
-        improved = False
-        trial = step
-        while trial > 1e-22 / max(norm**2, 1e-30):
-            cand = current - trial * g
-            cand = cand / np.linalg.norm(cand)
-            f_cand = stationarity_defect(model, np.outer(cand, cand.conj())) ** 2
-            if f_cand < f_val - 0.25 * trial * gn2:
-                current, f_val = cand, f_cand
-                step = min(trial * 2.0, 1.0 / norm**2)
-                improved = True
-                break
-            trial *= 0.5
-        if not improved:
-            break
+    _, current = _descend_on_sphere(
+        value,
+        grad,
+        v,
+        step=1.0 / (4.0 * norm**2),
+        max_step=1.0 / norm**2,
+        min_step=1e-22 / norm**2,
+        gn2_floor=4.0 * (1e-14 * norm) ** 2,
+        max_iter=200,
+    )
     if abs(np.vdot(current, v)) ** 2 < 1.0 - 1e-6:
         return v
     return current
@@ -655,9 +637,9 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
          state, with the residual evaluated on the normalized vector
          (removing the scale gauge); it reads residual values only and
          evaluates no gradient;
-      2. a projected-gradient polish on the sphere with Armijo backtracking;
-         trial points are judged by value, and the gradient is evaluated
-         only at the start point and at each accepted point;
+      2. projected-gradient descent on the sphere with Armijo backtracking
+         (``_descend_on_sphere``); trial points are judged by value, and the
+         gradient is evaluated once per iteration;
       3. a mean-field refinement (smallest eigenvector of the mean-field
          operator K(psi), iterated), which evaluates residual values only.
 
@@ -673,12 +655,7 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
     purity-preservation condition at the configured tolerance -- a meaningful
     outcome, not a failure.  A model without dissipation returns an empty
     list too.
-
-    Restarts run on up to PPSD_LAB_THREADS threads; results are identical
-    for identical seeds regardless of thread count.  The variable is
-    validated on every call, also where no restart runs.
     """
-    n_threads = min(_thread_count(), config.n_restarts)
     scale = residual_scale(model)
     if scale == 0.0:
         # No dissipation: every state trivially preserves purity; report the
@@ -701,7 +678,14 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
             return scale
         return _residual_value(terms, v / nrm)
 
-    def run_restart(x0):
+    def value(u):
+        return _residual_value(terms, u)
+
+    def grad(u):
+        return _residual_grad(terms, u)
+
+    hits = []
+    for x0 in starts:
         res = minimize(
             objective,
             x0,
@@ -709,24 +693,19 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
             options=dict(maxiter=SEARCH_MAX_ITERATIONS, fatol=1e-14 * scale, xatol=1e-10),
         )
         v = res.x[:d] + 1j * res.x[d:]
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
+        if np.linalg.norm(v) == 0.0:
             v = x0[:d] + 1j * x0[d:]
-            nrm = np.linalg.norm(v)
-        val, v = _polish_on_sphere(terms, v / nrm)
-        return _mean_field_refine(terms, v)
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run_restart, starts))
-    else:
-        results = [run_restart(x0) for x0 in starts]
-
-    hits = [
-        (val, _gauge_fix(v))
-        for val, v in results
-        if val < config.residual_tol * scale
-    ]
+        # Normalised twice on purpose: hits on a continuum depend on the
+        # start point to the last bit, and the second pass keeps the rows
+        # of ppsd-search byte-identical to earlier releases.
+        v = v / np.linalg.norm(v)
+        v = v / np.linalg.norm(v)
+        _, v = _descend_on_sphere(
+            value, grad, v, step=1.0, max_step=1e6, min_step=1e-14, gn2_floor=1e-30, max_iter=400
+        )
+        val, v = _mean_field_refine(terms, v)
+        if val < config.residual_tol * scale:
+            hits.append((val, _gauge_fix(v)))
     # Deterministic merge order: residual first, then lexicographic on the
     # rounded gauge-fixed amplitudes.
     hits.sort(key=lambda h: (h[0], tuple(np.round(h[1].view(float), 10))))

@@ -582,6 +582,22 @@ def test_search_occupied_thermal_bath_reports_no_states(capsys):
     assert meta["note"] == "no PPSD states found"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "dephasing_qubit", "--param", "gamma=0"),
+        ("--model", "squeezed_vacuum_decay", "--param", "gamma0=0"),
+    ],
+    ids=["diagonal", "sampled"],
+)
+def test_search_without_dissipation_says_every_state_keeps_its_purity(capsys, argv):
+    code, out, _ = run_cli(capsys, "ppsd-search", *argv)
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert rows == []
+    assert meta["note"] == "no dissipation: every state keeps its purity"
+
+
 def test_search_phase_damped_finds_all_fock_states(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -435,6 +435,26 @@ def test_search_squeezed_model_finds_eigenvalue_pair():
         )
 
 
+@pytest.mark.parametrize("r, theta", [(0.1, 0.0), (0.3, 4.0), (0.5, 1.0)])
+def test_search_resolves_squeezed_eigenvalue_modulus(r, theta):
+    """Both hits reach the eigenvalue modulus sqrt(sinh(2r)/2) to 1e-10.
+
+    This needs the mean-field stage to run until successive eigenvectors
+    agree to 1e-14; stopped at 1e-8 it leaves |lambda| off by up to 1.3e-9
+    on these cases.
+    """
+    model = catalog_model(
+        ModelSpec("squeezed_vacuum_decay", {"gamma0": 1.0, "r": r, "theta": theta})
+    )
+    reports = ppsd_search(model, SearchConfig(n_restarts=16, seed=0))
+    assert len(reports) == 2
+    C = model.terms[0].op.matrix
+    modulus = math.sqrt(math.sinh(2.0 * r) / 2.0)
+    for rep in reports:
+        lam = np.vdot(rep.state.amplitudes, C @ rep.state.amplitudes)
+        assert abs(abs(lam) - modulus) < 1e-10
+
+
 def test_search_deterministic_for_fixed_seed():
     model = catalog_model(ModelSpec("squeezed_vacuum_decay", {}))
     config = SearchConfig(n_restarts=24, seed=5)
@@ -468,18 +488,6 @@ def test_search_nonnegative_residuals_and_report_invariants():
             assert not rep.is_stationary
 
 
-def test_search_result_independent_of_thread_cap(monkeypatch):
-    model = catalog_model(ModelSpec("squeezed_vacuum_decay", {}))
-    config = SearchConfig(n_restarts=16, seed=21)
-    monkeypatch.setenv("PPSD_LAB_THREADS", "1")
-    serial = ppsd_search(model, config)
-    monkeypatch.setenv("PPSD_LAB_THREADS", "4")
-    threaded = ppsd_search(model, config)
-    assert len(serial) == len(threaded)
-    for a, b in zip(serial, threaded):
-        np.testing.assert_array_equal(a.state.amplitudes, b.state.amplitudes)
-
-
 def test_search_nelder_mead_stage_evaluates_no_gradient(monkeypatch):
     inside = []
     grad_calls = []
@@ -498,7 +506,6 @@ def test_search_nelder_mead_stage_evaluates_no_gradient(monkeypatch):
         grad_calls.append(1)
         return grad(*args)
 
-    monkeypatch.setenv("PPSD_LAB_THREADS", "1")
     monkeypatch.setattr(ppsd, "minimize", nelder_mead)
     monkeypatch.setattr(ppsd, "_residual_grad", guarded_grad)
     model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.0}))
@@ -506,13 +513,6 @@ def test_search_nelder_mead_stage_evaluates_no_gradient(monkeypatch):
     assert grad_calls  # the polish stage still runs on gradients
     assert len(reports) == 1 and reports[0].is_stationary
     assert fidelity(reports[0].state, StateVector.basis(2, 1)) > 1.0 - 1e-10
-
-
-def test_thread_cap_validation(monkeypatch):
-    model = catalog_model(ModelSpec("dephasing_qubit", {}))
-    monkeypatch.setenv("PPSD_LAB_THREADS", "0")
-    with pytest.raises(InvariantViolation):
-        ppsd_search(model, SearchConfig(n_restarts=2, seed=0))
 
 
 @pytest.mark.parametrize(
