@@ -74,6 +74,7 @@ from .models import (
     three_level_ppsd_condition,
 )
 from .ppsd import (
+    CONSISTENCY_GAP_TOL,
     PPSD_RESIDUAL_RTOL,
     HistoryChain,
     PpsdReport,

@@ -8,6 +8,14 @@ ppsd-search   find zero-residual states (exact on diagonal models)
 reproduce     run one of the packaged quantitative checks end to end
 list-models   enumerate the model catalog with parameters and defaults
 
+ppsd-check and ppsd-search judge a pure state the same way.  It has zero
+residual when R(psi) < 1e-9 * residual_scale, a fixed gate printed as
+``# tol=``.  A state the generator annihilates is stationary_only and is
+reported without integration.  Any other is a ppsd_trajectory only if it
+passes that gate along its pure flow and the flow stays within trace
+distance 1e-6 of the master equation; else it is no_ppsd.  Neither bound
+is an option.
+
 Model sources are either a catalog name plus ``--param key=value`` flags or
 a JSON model file (``--model-file``) with fields
 {name, dim, hamiltonian, terms: [{rate, op}], basis_note, basis} and complex
@@ -61,10 +69,10 @@ from .models import (
     three_level_feasibility_scan,
 )
 from .ppsd import (
+    PPSD_RESIDUAL_RTOL,
     SearchConfig,
     consistency_check,
     fidelity,
-    is_stationary_state,
     ppsd_residual,
     ppsd_search,
     residual_scale,
@@ -434,18 +442,13 @@ def cmd_ppsd_check(args) -> int:
     model, meta = resolve_model(args)
     psi = resolve_state(args.state, model, pure_required=True)
     residual = ppsd_residual(model, psi)
-    stationary = is_stationary_state(model, psi)
-    if stationary:
-        verdict, gap = "stationary_only", 0.0
-    else:
-        report = consistency_check(model, psi, t_max=args.t_max, n_steps=args.steps)
-        verdict, gap = report.verdict, report.consistency_gap
+    report = consistency_check(model, psi, t_max=args.t_max, n_steps=args.steps)
     meta = _base_metadata(meta)
     meta["state"] = args.state
     record = ResultRecord(
         meta,
         ("residual", "is_stationary", "consistency_gap", "verdict"),
-        [(residual, stationary, gap, verdict)],
+        [(residual, report.is_stationary, report.consistency_gap, report.verdict)],
     )
     emit(record, args.format, args.output)
     return 0
@@ -459,13 +462,10 @@ def _state_repr(psi: StateVector) -> str:
 
 def cmd_ppsd_search(args) -> int:
     model, meta = resolve_model(args)
-    config = SearchConfig(
-        n_restarts=args.restarts, seed=args.seed, residual_tol=args.tol
-    )
-    reports = ppsd_search(model, config)
+    reports = ppsd_search(model, SearchConfig(n_restarts=args.restarts, seed=args.seed))
     groups = zero_residual_subspaces(model)
     meta = _base_metadata(meta)
-    meta.update({"restarts": args.restarts, "seed": args.seed, "tol": args.tol})
+    meta.update({"restarts": args.restarts, "seed": args.seed, "tol": PPSD_RESIDUAL_RTOL})
     if groups is None:
         meta["zero_set"] = "sampled"
     else:
@@ -801,11 +801,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_ppsd_check)
 
-    p = sub.add_parser("ppsd-search", help="search the sphere for PPSD states")
+    p = sub.add_parser(
+        "ppsd-search",
+        help="search the sphere for PPSD states",
+        description="Zero-residual pure states, each with its verdict.  A "
+        "state is kept when R < 1e-9 * residual_scale, a fixed gate printed "
+        "as '# tol='.",
+    )
     _add_model_flags(p)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     _add_output_flags(p)
     p.set_defaults(func=cmd_ppsd_search)
 

@@ -20,7 +20,7 @@ and evaluates projector history chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -37,7 +37,6 @@ from .hilbert import (
     StateVector,
     _hermitian_eigvalsh,
     _state_array,
-    purity,
 )
 from .lindblad import (
     _RK_OPTIONS,
@@ -58,6 +57,10 @@ PPSD_RESIDUAL_RTOL = 1e-9
 #: construction, so these only trip on an integrator breakdown.
 NORM_DRIFT_PER_TIME = 1e-6
 NORM_DRIFT_PER_STEP = 1e-3
+
+#: Largest trace distance between the pure flow and the master equation
+#: that still counts as one trajectory.
+CONSISTENCY_GAP_TOL = 1e-6
 
 VERDICT_PPSD = "ppsd_trajectory"
 VERDICT_STATIONARY = "stationary_only"
@@ -83,7 +86,6 @@ class PpsdReport:
 
     residual: float
     state: StateVector
-    is_stationary: bool
     consistency_gap: float
     verdict: str
     max_impurity: float = 0.0
@@ -93,8 +95,11 @@ class PpsdReport:
             raise InvariantViolation(f"residual {self.residual} below -1e-12")
         if self.verdict not in (VERDICT_PPSD, VERDICT_STATIONARY, VERDICT_NO_PPSD):
             raise InvariantViolation(f"unknown verdict {self.verdict!r}")
-        if self.verdict == VERDICT_PPSD and self.is_stationary:
-            raise InvariantViolation("a stationary state is not a trajectory")
+
+    @property
+    def is_stationary(self) -> bool:
+        """Whether the verdict is stationary_only."""
+        return self.verdict == VERDICT_STATIONARY
 
 
 @dataclass(frozen=True)
@@ -103,13 +108,10 @@ class SearchConfig:
 
     n_restarts: int = 32
     seed: int = 0
-    residual_tol: float = PPSD_RESIDUAL_RTOL
 
     def __post_init__(self):
         if self.n_restarts < 1:
             raise InvariantViolation("n_restarts must be positive")
-        if self.residual_tol <= 0:
-            raise InvariantViolation("residual_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -341,43 +343,46 @@ def trace_distance(rho, sigma) -> float:
     return float(0.5 * np.abs(_hermitian_eigvalsh(diff)).sum())
 
 
-def is_stationary_state(
-    model: LindbladModel, psi, rel_tol: float = PPSD_RESIDUAL_RTOL
-) -> bool:
-    """Whether |psi><psi| is annihilated by the generator, relative to ||L||."""
+def is_stationary_state(model: LindbladModel, psi) -> bool:
+    """Whether |psi><psi| is annihilated by the generator: its defect
+    ||L[|psi><psi|]||_F is below PPSD_RESIDUAL_RTOL * ||L||_F."""
     v = _model_state(model, psi)
     norm = liouvillian_norm(model)
     if norm == 0.0:
         return True
     defect = stationarity_defect(model, np.outer(v, v.conj()))
-    return bool(defect < rel_tol * norm)
+    return bool(defect < PPSD_RESIDUAL_RTOL * norm)
 
 
 def consistency_check(
-    model: LindbladModel,
-    psi0,
-    t_max: float,
-    n_steps: int = 50,
-    tol: float = 1e-6,
+    model: LindbladModel, psi0, t_max: float, n_steps: int = 50
 ) -> PpsdReport:
-    """Compare the purity-preserving flow of psi0 with the master equation.
+    """Give the pure state psi0 its verdict; the one routine that does.
 
-    Runs evolve_pure_nonlinear and the exact master-equation propagation of
-    |psi0><psi0| on a common grid.  The report carries the largest trace
-    distance between the two paths (consistency_gap), the largest
-    purity-loss rate R along the pure path (residual) and the largest
-    1 - tr(rho^2) of the mixed path (max_impurity).
-
-    Verdict:
-      * stationary_only -- |psi0><psi0| is a fixed point of the generator;
-      * ppsd_trajectory -- non-stationary, residual below the relative gate
-        PPSD_RESIDUAL_RTOL * residual_scale(model), and consistency_gap
-        below ``tol``;
-      * no_ppsd        -- everything else.
+    Stationarity is decided first (``is_stationary_state``): a fixed point
+    of the generator is reported as stationary_only with residual R(psi0)
+    and gap 0, and nothing is integrated.  Any other state runs
+    evolve_pure_nonlinear and the exact master-equation propagation of
+    |psi0><psi0| on a common grid of ``n_steps`` steps up to ``t_max``.
+    The report then carries the largest trace distance between the two
+    paths (consistency_gap), the largest purity-loss rate R along the pure
+    path (residual) and the largest 1 - tr(rho^2) of the mixed path
+    (max_impurity), and the verdict is
+      * ppsd_trajectory -- residual below the fixed gate
+        PPSD_RESIDUAL_RTOL * residual_scale(model) and consistency_gap
+        below CONSISTENCY_GAP_TOL;
+      * no_ppsd        -- otherwise.
     """
     if t_max <= 0 or n_steps < 1:
         raise InvariantViolation("t_max must be > 0 and n_steps >= 1")
     psi0 = psi0 if isinstance(psi0, StateVector) else StateVector(psi0)
+    if is_stationary_state(model, psi0):
+        return PpsdReport(
+            residual=max(ppsd_residual(model, psi0), 0.0),
+            state=psi0,
+            consistency_gap=0.0,
+            verdict=VERDICT_STATIONARY,
+        )
     times = np.linspace(0.0, float(t_max), int(n_steps) + 1)
     pure_path = evolve_pure_nonlinear(model, psi0, times)
     traj = propagate(model, DensityMatrix.from_state(psi0), times)
@@ -387,17 +392,14 @@ def consistency_check(
     )
     max_resid = max(float(_model_residual(model, p.amplitudes)) for p in pure_path)
     max_impurity = float(np.max(1.0 - traj.purities))
-    stationary = is_stationary_state(model, psi0)
-    if stationary:
-        verdict = VERDICT_STATIONARY
-    elif max_resid < PPSD_RESIDUAL_RTOL * max(residual_scale(model), 1e-300) and gap < tol:
+    gate = PPSD_RESIDUAL_RTOL * max(residual_scale(model), 1e-300)
+    if max_resid < gate and gap < CONSISTENCY_GAP_TOL:
         verdict = VERDICT_PPSD
     else:
         verdict = VERDICT_NO_PPSD
     return PpsdReport(
         residual=max(max_resid, 0.0),
         state=psi0,
-        is_stationary=stationary,
         consistency_gap=gap,
         verdict=verdict,
         max_impurity=max_impurity,
@@ -594,30 +596,23 @@ def zero_residual_subspaces(model: LindbladModel) -> list[list[int]] | None:
 
 
 def _zero_set_reports(
-    model: LindbladModel, groups: list[list[int]], gate: float, rel_tol: float
+    model: LindbladModel, groups: list[list[int]], gate: float
 ) -> list[PpsdReport]:
-    """One stationary report per basis vector of the exact zero set, group
-    by group; a vector failing the residual gate or the stationarity check
-    raises InvariantViolation rather than being dropped."""
+    """The consistency report of each basis vector of the exact zero set,
+    group by group; a vector failing the residual gate or not judged
+    stationary raises InvariantViolation rather than being dropped."""
+    horizon = _default_consistency_horizon(model)
     reports = []
     for i in [i for group in groups for i in group]:
         psi = StateVector.basis(model.dim, i)
-        residual = ppsd_residual(model, psi)
-        if not residual < gate:
+        report = consistency_check(model, psi, t_max=horizon, n_steps=40)
+        if not report.residual < gate:
             raise InvariantViolation(
-                f"basis vector {i}: residual {residual:.3e} not below the gate {gate:.3e}"
+                f"basis vector {i}: residual {report.residual:.3e} not below the gate {gate:.3e}"
             )
-        if not is_stationary_state(model, psi, rel_tol):
+        if not report.is_stationary:
             raise InvariantViolation(f"basis vector {i} of the zero set is not stationary")
-        reports.append(
-            PpsdReport(
-                residual=max(residual, 0.0),
-                state=psi,
-                is_stationary=True,
-                consistency_gap=0.0,
-                verdict=VERDICT_STATIONARY,
-            )
-        )
+        reports.append(report)
     return reports
 
 
@@ -643,18 +638,17 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
       3. a mean-field refinement (smallest eigenvector of the mean-field
          operator K(psi), iterated), which evaluates residual values only.
 
-    Minima with residual below
-    ``residual_tol * residual_scale(model)`` are kept, phase-gauge-fixed,
+    Minima with residual below the fixed gate
+    PPSD_RESIDUAL_RTOL * residual_scale(model) are kept, phase-gauge-fixed,
     merged deterministically by (residual, lexicographic amplitudes), and
     deduplicated: any two reported states have pairwise fidelity below
     SEARCH_DEDUPE_FIDELITY.
 
-    Every surviving state is classified: stationary states get verdict
-    stationary_only; non-stationary ones are consistency-checked against the
-    master equation.  An empty list means no pure state can satisfy the
-    purity-preservation condition at the configured tolerance -- a meaningful
-    outcome, not a failure.  A model without dissipation returns an empty
-    list too.
+    Every reported state, exact or sampled, takes its verdict from
+    ``consistency_check``; a sampled hit keeps the search's residual.  An
+    empty list means no pure state can satisfy the purity-preservation
+    condition below the gate -- a meaningful outcome, not a failure.  A
+    model without dissipation returns an empty list too.
     """
     scale = residual_scale(model)
     if scale == 0.0:
@@ -662,10 +656,10 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
         # configuration as "no zero-residual candidates" rather than the
         # whole sphere.
         return []
+    gate = PPSD_RESIDUAL_RTOL * scale
     groups = zero_residual_subspaces(model)
     if groups is not None:
-        gate = config.residual_tol * scale
-        return _zero_set_reports(model, groups, gate, config.residual_tol)
+        return _zero_set_reports(model, groups, gate)
     terms = model._dissipators
     d = model.dim
     rng = np.random.default_rng(config.seed)
@@ -695,16 +689,12 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
         v = res.x[:d] + 1j * res.x[d:]
         if np.linalg.norm(v) == 0.0:
             v = x0[:d] + 1j * x0[d:]
-        # Normalised twice on purpose: hits on a continuum depend on the
-        # start point to the last bit, and the second pass keeps the rows
-        # of ppsd-search byte-identical to earlier releases.
-        v = v / np.linalg.norm(v)
         v = v / np.linalg.norm(v)
         _, v = _descend_on_sphere(
             value, grad, v, step=1.0, max_step=1e6, min_step=1e-14, gn2_floor=1e-30, max_iter=400
         )
         val, v = _mean_field_refine(terms, v)
-        if val < config.residual_tol * scale:
+        if val < gate:
             hits.append((val, _gauge_fix(v)))
     # Deterministic merge order: residual first, then lexicographic on the
     # rounded gauge-fixed amplitudes.
@@ -717,21 +707,9 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
     reports = []
     horizon = _default_consistency_horizon(model)
     for val, v in kept:
-        v = _gauge_fix(_stationarity_snap(model, v))
-        psi = StateVector.normalized(v)
-        if is_stationary_state(model, psi, config.residual_tol):
-            reports.append(
-                PpsdReport(
-                    residual=max(val, 0.0),
-                    state=psi,
-                    is_stationary=True,
-                    consistency_gap=0.0,
-                    verdict=VERDICT_STATIONARY,
-                )
-            )
-        else:
-            report = consistency_check(model, psi, t_max=horizon, n_steps=40)
-            reports.append(replace(report, residual=max(val, 0.0)))
+        psi = StateVector.normalized(_gauge_fix(_stationarity_snap(model, v)))
+        report = consistency_check(model, psi, t_max=horizon, n_steps=40)
+        reports.append(replace(report, residual=max(val, 0.0)))
     return reports
 
 

@@ -246,6 +246,14 @@ def test_simulate_refuses_a_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_search_refuses_a_tol(capsys):
+    # the zero-residual gate is a fixed constant, so a tolerance is refused
+    with pytest.raises(SystemExit) as exc:
+        main("ppsd-search --model thermal_qubit --tol 1e-6".split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
+
+
 def test_simulate_json_format(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -37,7 +37,9 @@ from ppsd_lab import (
     zero_residual_subspaces,
 )
 from ppsd_lab import ppsd
+from ppsd_lab.cli import main
 from ppsd_lab.errors import DimensionMismatch
+from ppsd_lab.lindblad import liouvillian_norm
 
 DEPHASING = ModelSpec("dephasing_qubit", {"gamma": 1.0})
 
@@ -385,6 +387,35 @@ def test_stationary_state_has_tiny_consistency_gap():
     report = consistency_check(model, StateVector.basis(12, 0), t_max=2.0, n_steps=20)
     assert report.is_stationary
     assert report.consistency_gap < 1e-8
+
+
+def test_consistency_check_reports_a_stationary_state_without_integrating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stationary state must not be integrated")
+
+    monkeypatch.setattr(ppsd, "evolve_pure_nonlinear", refuse)
+    monkeypatch.setattr(ppsd, "propagate", refuse)
+    model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.0}))
+    report = consistency_check(model, StateVector.basis(2, 1), t_max=1.0)
+    assert report.verdict == "stationary_only" and report.is_stationary
+    assert report.consistency_gap == 0.0
+
+
+def test_ppsd_check_decides_stationarity_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return liouvillian_norm(model)
+
+    monkeypatch.setattr(ppsd, "liouvillian_norm", counted)
+    code = main([
+        "ppsd-check", "--model", "damped_oscillator", "--param", "N=0.3",
+        "--dim", "16", "--state", "coherent:0.5",
+    ])
+    assert code == 0
+    assert "no_ppsd" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
