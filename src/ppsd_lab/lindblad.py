@@ -5,9 +5,9 @@ A model is a Hamiltonian plus rate-weighted jump operators; its generator is
     d rho / dt = -i [H, rho] + sum_i gamma_i (L_i rho L_i^dag
                                               - 1/2 {L_i^dag L_i, rho}).
 
-This module builds the generator as a dim^2 x dim^2 superoperator (dense, or
-sparse for large non-diagonal models), propagates density matrices exactly
-(matrix exponential, or its action on vec(rho)) or by adaptive Runge-Kutta,
+This module builds the generator once per model as a sparse dim^2 x dim^2
+superoperator, propagates density matrices exactly (matrix exponential, or
+its action on vec(rho)) or by adaptive Runge-Kutta,
 extracts stationary states from the generator's null space, and decides
 unitality (whether the maximally mixed state is preserved).
 
@@ -25,24 +25,26 @@ and recorded in ``Trajectory.path``: entrywise exponentials when H and every
 L are diagonal (in real arithmetic when the coefficients and the initial
 state are real); a dense exp(L dt) for other models up to
 DENSE_GENERATOR_MAX_DIM; above it, the action of the exponential on
-vec(rho) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) with the
-generator held as a sparse Kronecker sum, which never forms a dim^2 x dim^2
-dense array.
+vec(rho) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) on the
+sparse generator, which never forms a dim^2 x dim^2 dense array.
 
 Superoperator norms are Frobenius norms throughout.
 
-A model caches its per-term data on first use.  ``_dissipators`` holds
-(gamma, L, L^dag, L^dag L) for every nonzero-rate term and feeds the
-generator builders and the residual, gradient and search kernels.  When H
-and every L are diagonal, ``_diagonal_jumps`` holds the same terms stacked
-as rates (k,) and diagonals (k, d); the entrywise coefficients
-(``_diagonal_coefficients``, one matrix product) and, in ``ppsd``, the
-pure-flow RHS, the residual, its scale and the exact zero-residual set read
-it.  Grid operators are stored as their diagonals
-(``Operator.from_diagonal``), so a diagonal grid model is built, propagates,
-is checked and is searched without forming a d x d array per term.  The
-sphere-search kernels read ``_dissipators`` and run on non-diagonal models
-only.
+A model caches its per-term data and its generator on first use.
+``_generator`` is the one generator: a sparse CSR array that the dense
+matrix, the action and its adjoint, the norm, the stationarity defect and
+the sparse and Runge-Kutta propagation paths all read.  ``_dissipators``
+holds (gamma, L, L^dag, L^dag L) for every nonzero-rate term and feeds the
+generator of a non-diagonal model and the residual, gradient and search
+kernels.  When H and every L are diagonal, ``_diagonal_jumps`` holds the
+same terms stacked as rates (k,) and diagonals (k, d); the entrywise
+coefficients (``_diagonal_coefficients``, one matrix product), which are
+also the diagonal generator, and, in ``ppsd``, the pure-flow RHS, the
+residual, its scale and the exact zero-residual set read it.  Grid
+operators are stored as their diagonals (``Operator.from_diagonal``), so a
+diagonal grid model is built, propagates, is checked and is searched
+without forming a d x d array per term.  The sphere-search kernels read
+``_dissipators`` and run on non-diagonal models only.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ from scipy.sparse.linalg import expm_multiply
 from .errors import DimensionMismatch, IntegrationFailure, InvariantViolation
 from .hilbert import HERMITICITY_TOL, DensityMatrix, GridSpec, Operator, _operator_array, purity
 
-#: Largest dimension at which a non-diagonal generator is formed densely.
-#: Above it the generator is sparse and propagation uses expm_multiply.
+#: Largest dimension at which a non-diagonal model propagates by a dense
+#: one-step exp(L dt).  Above it propagation applies expm_multiply to the
+#: sparse generator.
 #: Dense against sparse, damped oscillator on 41-101 points, one BLAS
 #: thread of a 2-core VM: d = 12 10 ms / 39-86 ms, d = 16 30-37 ms /
 #: 17-34 ms, d = 20 94-99 ms / 27-45 ms, d = 32 1.4 s / 52-91 ms.
@@ -139,12 +142,13 @@ class LindbladModel:
     def _dissipators(self) -> tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...]:
         """(rate, L, L^dag, L^dag L) for every nonzero-rate term, in model order.
 
-        The table every generator, residual and search kernel of a
-        non-diagonal model reads.  It is built on first use and cached on
-        the (immutable) model; diagonal models propagate, run the pure flow
-        and evaluate and search the residual from ``_diagonal_jumps`` and
-        never build it there.  An operator built from its diagonal forms
-        its d x d matrix here, on first use, and not before.
+        The table the generator, residual and search kernels of a
+        non-diagonal model read.  It is built on first use and cached on
+        the (immutable) model; diagonal models propagate, apply the
+        generator, run the pure flow and evaluate and search the residual
+        from ``_diagonal_jumps`` and never build it there.  An operator
+        built from its diagonal forms its d x d matrix here, on first use,
+        and not before.
         """
         table = []
         for rate, op in self._rated_terms():
@@ -190,7 +194,10 @@ class LindbladModel:
 
         b = gamma . |ell|^2, formed from ``_diagonal_jumps`` with one
         matrix product.  Holds the (d, d) array c, or None when the model
-        has off-diagonal operator content.
+        has off-diagonal operator content.  The populations are constants
+        of motion, so c_ii is set to exactly 0: the formula leaves roundoff
+        there (up to 1.4e-14), which exp(c t) amplifies to overflow at long
+        horizons.
         """
         jumps = self._diagonal_jumps
         if jumps is None:
@@ -200,8 +207,35 @@ class LindbladModel:
         b = rates @ (np.abs(ell) ** 2)
         c = (rates[:, None] * ell).T @ ell.conj()
         c += -1j * np.subtract.outer(h, h) - 0.5 * np.add.outer(b, b)
+        np.fill_diagonal(c, 0.0)
         c.setflags(write=False)
         return c
+
+    @cached_property
+    def _generator(self) -> sparse.csr_array:
+        """The generator as a sparse CSR array under row-major vectorization.
+
+        The one representation every generator kernel reads.  A diagonal
+        model holds vec(c) from ``_diagonal_coefficients`` on its diagonal
+        and never reads ``_dissipators``; any other model holds the
+        Kronecker sum of the module docstring over its nonzero-rate terms.
+        """
+        n = self.dim**2
+        c = self._diagonal_coefficients
+        if c is not None:
+            return sparse.csr_array((c.reshape(n), np.arange(n), np.arange(n + 1)), shape=(n, n))
+        eye = sparse.identity(self.dim, dtype=complex, format="csr")
+        h = sparse.csr_array(self.hamiltonian.matrix)
+        sup = -1j * (sparse.kron(h, eye, format="csr") - sparse.kron(eye, h.T, format="csr"))
+        for rate, L, _, LdL in self._dissipators:
+            LdL = sparse.csr_array(LdL)
+            L = sparse.csr_array(L)
+            sup = sup + rate * (
+                sparse.kron(L, L.conj(), format="csr")
+                - 0.5 * sparse.kron(LdL, eye, format="csr")
+                - 0.5 * sparse.kron(eye, LdL.T, format="csr")
+            )
+        return sup
 
 
 @dataclass(frozen=True)
@@ -277,41 +311,7 @@ class Trajectory:
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """The dense generator matrix under row-major vectorization."""
-    d = model.dim
-    eye = np.eye(d, dtype=complex)
-    h = model.hamiltonian.matrix
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for rate, L, _, LdL in model._dissipators:
-        sup += rate * (
-            np.kron(L, L.conj())
-            - 0.5 * np.kron(LdL, eye)
-            - 0.5 * np.kron(eye, LdL.T)
-        )
-    return sup
-
-
-def _sparse_generator(model: LindbladModel) -> sparse.csr_array:
-    """The generator as a sparse CSR Kronecker sum, entry for entry the
-    matrix that liouvillian_matrix forms densely."""
-    d = model.dim
-    eye = sparse.identity(d, dtype=complex, format="csr")
-    h = sparse.csr_array(model.hamiltonian.matrix)
-    sup = -1j * (sparse.kron(h, eye, format="csr") - sparse.kron(eye, h.T, format="csr"))
-    for rate, L, _, LdL in model._dissipators:
-        LdL = sparse.csr_array(LdL)
-        L = sparse.csr_array(L)
-        sup = sup + rate * (
-            sparse.kron(L, L.conj(), format="csr")
-            - 0.5 * sparse.kron(LdL, eye, format="csr")
-            - 0.5 * sparse.kron(eye, LdL.T, format="csr")
-        )
-    return sup
-
-
-def _use_sparse_generator(model: LindbladModel) -> bool:
-    """Whether a non-diagonal model is large enough to keep its generator
-    sparse (for propagation and for the norm)."""
-    return model.dim > DENSE_GENERATOR_MAX_DIM
+    return model._generator.toarray()
 
 
 def build_liouvillian(model: LindbladModel) -> Superoperator:
@@ -320,45 +320,25 @@ def build_liouvillian(model: LindbladModel) -> Superoperator:
 
 
 def liouvillian_action(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """Apply the generator to a d x d matrix without forming the superoperator."""
-    rho = np.asarray(rho, dtype=complex)
-    h = model.hamiltonian.matrix
-    out = -1j * (h @ rho - rho @ h)
-    for rate, L, Ld, LdL in model._dissipators:
-        out += rate * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
-    return out
+    """Apply the generator to a d x d matrix: one sparse matrix-vector product."""
+    d = model.dim
+    return (model._generator @ np.asarray(rho, dtype=complex).reshape(d * d)).reshape(d, d)
 
 
 def liouvillian_adjoint_action(model: LindbladModel, x: np.ndarray) -> np.ndarray:
     """Apply the Frobenius adjoint of the generator (Heisenberg picture)."""
-    x = np.asarray(x, dtype=complex)
-    h = model.hamiltonian.matrix
-    out = 1j * (h @ x - x @ h)
-    for rate, L, Ld, LdL in model._dissipators:
-        out += rate * (Ld @ x @ L - 0.5 * (LdL @ x + x @ LdL))
-    return out
+    d = model.dim
+    vec = np.asarray(x, dtype=complex).reshape(d * d)
+    return np.conj(model._generator.T @ np.conj(vec)).reshape(d, d)
 
 
 def liouvillian_norm(model: LindbladModel) -> float:
-    """Frobenius norm of the generator.
-
-    Diagonal models use their entrywise coefficients and large non-diagonal
-    ones the stored entries of the sparse generator; only small models
-    form the dense matrix, which is then the cheaper way.
-    """
-    c = model._diagonal_coefficients
-    if c is not None:
-        return float(np.linalg.norm(c))
-    if _use_sparse_generator(model):
-        return float(np.linalg.norm(_sparse_generator(model).data))
-    return float(np.linalg.norm(liouvillian_matrix(model)))
+    """Frobenius norm of the generator: the norm of its stored entries."""
+    return float(np.linalg.norm(model._generator.data))
 
 
 def stationarity_defect(model: LindbladModel, rho: np.ndarray) -> float:
     """|| L[rho] ||_F, the Frobenius norm of the generator applied to rho."""
-    c = model._diagonal_coefficients
-    if c is not None:
-        return float(np.linalg.norm(c * np.asarray(rho, dtype=complex)))
     return float(np.linalg.norm(liouvillian_action(model, rho)))
 
 
@@ -403,7 +383,7 @@ def _exact_path(model: LindbladModel) -> str:
     "dense_expm" or "sparse_expm_multiply"."""
     if model._diagonal_coefficients is not None:
         return "entrywise"
-    if _use_sparse_generator(model):
+    if model.dim > DENSE_GENERATOR_MAX_DIM:
         return "sparse_expm_multiply"
     return "dense_expm"
 
@@ -461,7 +441,7 @@ def _propagate_sparse(model: LindbladModel, rho0: np.ndarray, times: np.ndarray)
     leaves ``np.random`` as it found it.
     """
     d = model.dim
-    sup = _sparse_generator(model)
+    sup = model._generator
     vec = rho0.reshape(d * d)
     t0, t1 = times[0], times[-1]
     global_state = np.random.get_state()
@@ -484,12 +464,11 @@ def _propagate_sparse(model: LindbladModel, rho0: np.ndarray, times: np.ndarray)
 
 def _propagate_rk(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
     d = model.dim
-
-    def rhs(_t, y):
-        return liouvillian_action(model, y.reshape(d, d)).reshape(d * d)
-
+    sup = model._generator
     t_span = (0.0, float(times[-1]) if times[-1] > 0 else 1e-30)
-    sol = solve_ivp(rhs, t_span, rho0.reshape(d * d), t_eval=times, **_RK_OPTIONS)
+    sol = solve_ivp(
+        lambda _t, y: sup @ y, t_span, rho0.reshape(d * d), t_eval=times, **_RK_OPTIONS
+    )
     if not sol.success:
         raise IntegrationFailure(f"adaptive RK failed: {sol.message}")
     return [sol.y[:, k].reshape(d, d) for k in range(sol.y.shape[1])]
@@ -503,7 +482,9 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
     entrywise for diagonal models, a dense matrix exponential of the
     generator for other models up to DENSE_GENERATOR_MAX_DIM, and above it
     expm_multiply on the sparse generator: one call for a uniform grid,
-    one per interval otherwise.
+    one per interval otherwise.  The dense, sparse and Runge-Kutta paths
+    read the model's one cached generator (``LindbladModel._generator``);
+    the Runge-Kutta right-hand side is one sparse matrix-vector product.
 
     Every output is re-symmetrized, renormalized and checked against the
     1e-8 invariant gate (_validated_state) as soon as it is formed, and its

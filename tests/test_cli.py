@@ -578,6 +578,43 @@ def test_simulate_d80_runs_the_exact_method_it_reports(capsys, monkeypatch):
     assert min(float(r[header.index("min_eigenvalue")]) for r in rows) > -1e-8
 
 
+def test_check_builds_the_kronecker_sum_once(capsys, monkeypatch):
+    # the norm and the sparse propagation read one cached generator: the
+    # Kronecker sum of H and two jump operators takes 2 + 2 * 3 products
+    from scipy import sparse
+
+    kron, calls = sparse.kron, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(sparse, "kron", counted)
+    code, _, _ = run_cli(
+        capsys,
+        "ppsd-check", "--model", "damped_oscillator", "--param", "N=0.3",
+        "--dim", "24", "--state", "coherent:0.5",
+    )
+    assert code == 0
+    assert len(calls) == 8
+
+
+@pytest.mark.filterwarnings("error")
+def test_long_horizon_grid_simulate_exits_quietly(capsys):
+    # c_ii is exactly 0, so exp(c t) stays bounded at any horizon; the
+    # roundoff the formula leaves there overflows exp(c t) at t = 2.5e19
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--model", "grw", "--grid=-5,5,64", "--state", "gaussian:0.3,0.7",
+        "--t-max", "1e20", "--steps", "4",
+    )
+    assert code == 0
+    assert err == ""
+    _, header, rows = parse_csv(out)
+    assert len(rows) == 5
+    assert max(float(r[header.index("trace_error")]) for r in rows) < 1e-12
+
+
 def test_search_occupied_thermal_bath_reports_no_states(capsys):
     code, out, _ = run_cli(
         capsys,

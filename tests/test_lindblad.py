@@ -33,7 +33,9 @@ from ppsd_lab import (
     propagate,
     purity_trajectory,
     stationary_states,
+    stationarity_defect,
 )
+from tests_support import DESK_SPECS, desk_catalog, kronecker_generator
 
 
 def random_density(rng, dim) -> DensityMatrix:
@@ -86,7 +88,7 @@ def test_matrix_and_action_agree_row_major():
     rng = np.random.default_rng(0)
     for spec in (DESK_MODELS[0], DESK_MODELS[3], DESK_MODELS[4], DESK_MODELS[8]):
         model = catalog_model(spec)
-        sup = liouvillian_matrix(model)
+        sup = kronecker_generator(model)
         rho = random_density(rng, model.dim).matrix
         via_matrix = (sup @ rho.reshape(-1)).reshape(model.dim, model.dim)
         np.testing.assert_allclose(
@@ -101,10 +103,52 @@ def test_matrix_and_action_agree_row_major():
     ids=lambda s: f"{s.name}-{s.params['dim']}" if "dim" in s.params else s.name,
 )
 def test_sparse_generator_matches_dense(spec):
+    # a diagonal model's generator is vec(c) on the diagonal, which differs
+    # from the Kronecker sum by roundoff (7.1e-15 on 24-point
+    # position_decoherence); any other model's is the same sum
     model = catalog_model(spec)
-    dense = liouvillian_matrix(model)
-    assert np.abs(lindblad._sparse_generator(model).toarray() - dense).max() <= 1e-15
-    assert liouvillian_norm(model) == pytest.approx(np.linalg.norm(dense), rel=1e-14)
+    reference = kronecker_generator(model)
+    err = np.abs(liouvillian_matrix(model) - reference).max()
+    if model._diagonal_coefficients is None:
+        assert err <= 1e-15
+    else:
+        assert err <= 1e-13 * np.abs(reference).max()
+    assert liouvillian_norm(model) == pytest.approx(np.linalg.norm(reference), rel=1e-14)
+
+
+@pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: s.name)
+def test_adjoint_action_is_the_frobenius_adjoint(spec):
+    # <L[x], y>_F = <x, L^dag[y]>_F, on diagonal and non-diagonal models
+    model = catalog_model(spec)
+    d = model.dim
+    rng = np.random.default_rng(d)
+    x, y = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    lhs = np.vdot(liouvillian_action(model, x), y)
+    rhs = np.vdot(x, lindblad.liouvillian_adjoint_action(model, y))
+    scale = liouvillian_norm(model) * np.linalg.norm(x) * np.linalg.norm(y)
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def test_generator_kernels_leave_the_dissipator_table_unbuilt():
+    # a diagonal model's generator is read from its entrywise coefficients;
+    # the table would hold a dense 64 x 64 L^dag L for each of the 64 terms
+    model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 64)))
+    rho = DensityMatrix.maximally_mixed(64).matrix
+    liouvillian_action(model, rho)
+    lindblad.liouvillian_adjoint_action(model, rho)
+    assert liouvillian_norm(model) > 0
+    stationarity_defect(model, rho)
+    assert "_generator" in model.__dict__
+    assert "_dissipators" not in model.__dict__
+
+
+def test_diagonal_coefficients_vanish_on_the_diagonal():
+    # the populations of a diagonal model are constants of motion, so
+    # c_ii is exactly 0, not roundoff that exp(c t) amplifies
+    diagonal = [m for m in desk_catalog() if m._diagonal_coefficients is not None]
+    assert len(diagonal) == 6
+    for model in diagonal:
+        assert not np.diag(model._diagonal_coefficients).any(), model.label
 
 
 def test_negative_rate_rejected():
@@ -437,7 +481,7 @@ DIAGONAL_SPECS = [
 @pytest.mark.parametrize("spec", DIAGONAL_SPECS, ids=lambda s: s.name)
 def test_diagonal_coefficients_are_the_generator_diagonal(spec):
     model = catalog_model(spec)
-    sup = liouvillian_matrix(model)
+    sup = kronecker_generator(model)
     assert not np.any(sup - np.diag(np.diag(sup)))
     diag = np.diag(sup)
     got = model._diagonal_coefficients.reshape(-1)

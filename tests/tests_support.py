@@ -1,4 +1,7 @@
-"""Shared fixtures: the 13-model catalog at desk-scale dimensions."""
+"""Shared fixtures: the 13-model catalog at desk-scale dimensions, and an
+independent dense generator to check the library's against."""
+
+import numpy as np
 
 from ppsd_lab import GridSpec, LindbladModel, ModelSpec, catalog_model
 
@@ -21,3 +24,23 @@ DESK_SPECS = (
 
 def desk_catalog() -> list[LindbladModel]:
     return [catalog_model(spec) for spec in DESK_SPECS]
+
+
+def kronecker_generator(model: LindbladModel) -> np.ndarray:
+    """The dense generator as the row-major Kronecker sum over ``model.terms``.
+
+    Reads the operators as the model stores them and none of its cached
+    tables, so it is a reference for ``model._generator`` and the kernels
+    that read it rather than a second copy of them.
+    """
+    d = model.dim
+    eye = np.eye(d, dtype=complex)
+    h = model.hamiltonian.matrix
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for term in model.terms:
+        L = term.op.matrix
+        LdL = L.conj().T @ L
+        sup += term.rate * (
+            np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T)
+        )
+    return sup
