@@ -66,7 +66,7 @@ VERDICT_PPSD = "ppsd_trajectory"
 VERDICT_STATIONARY = "stationary_only"
 VERDICT_NO_PPSD = "no_ppsd"
 
-#: Nelder-Mead iteration cap of each search restart.
+#: L-BFGS-B iteration cap of each search restart.
 SEARCH_MAX_ITERATIONS = 400
 
 #: Two search hits are one state when their fidelity reaches this value.
@@ -447,8 +447,7 @@ def _descend_on_sphere(value, grad, v, step, max_step, min_step, gn2_floor, max_
     doubles (up to ``max_step``) after an accepted point and halves while
     backtracking.  Descent stops when the squared projected gradient norm
     falls below ``gn2_floor``, when backtracking passes ``min_step``, or
-    after ``max_iter`` iterations.  Returns (value, v) at the last accepted
-    point.
+    after ``max_iter`` iterations.  Returns the last accepted point.
     """
     val = value(v)
     for _ in range(max_iter):
@@ -468,7 +467,7 @@ def _descend_on_sphere(value, grad, v, step, max_step, min_step, gn2_floor, max_
             step *= 0.5
         else:
             break  # backtracking found no descent
-    return val, v
+    return v
 
 
 def _mean_field_refine(terms, v, max_iter: int = 12):
@@ -515,9 +514,10 @@ def _stationarity_snap(model: LindbladModel, v: np.ndarray) -> np.ndarray:
     the state only to ~(machine eps)^(1/4).  The stationarity functional
     f(psi) = ||L[|psi><psi|]||_F^2 is quadratic in the state error and can
     be polished to machine precision; candidates whose defect is already
-    within 1e-3 of the generator scale are refined by the search's own
-    sphere descent, run on f with steps scaled by 1/||L||^2, guarded by a
-    fidelity check so the snap never changes the candidate.
+    within 1e-3 of the generator scale are refined by the projected-gradient
+    sphere descent ``_descend_on_sphere``, run on f with steps scaled by
+    1/||L||^2, guarded by a fidelity check so the snap never changes the
+    candidate.
     """
     norm = liouvillian_norm(model)
     if norm == 0.0:
@@ -534,7 +534,7 @@ def _stationarity_snap(model: LindbladModel, v: np.ndarray) -> np.ndarray:
         b = liouvillian_adjoint_action(model, liouvillian_action(model, rho_u))
         return 2.0 * (b @ u)
 
-    _, current = _descend_on_sphere(
+    current = _descend_on_sphere(
         value,
         grad,
         v,
@@ -626,16 +626,15 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
     residual and is not listed; the group sizes say where one exists.
 
     Any other model is searched on the unit sphere.  Each seeded restart
-    runs three stages:
+    runs two stages:
 
-      1. Nelder-Mead on the real/imaginary coordinates of an unnormalized
-         state, with the residual evaluated on the normalized vector
-         (removing the scale gauge); it reads residual values only and
-         evaluates no gradient;
-      2. projected-gradient descent on the sphere with Armijo backtracking
-         (``_descend_on_sphere``); trial points are judged by value, and the
-         gradient is evaluated once per iteration;
-      3. a mean-field refinement (smallest eigenvector of the mean-field
+      1. L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16 (1995)
+         1190) on x = (Re v, Im v) for an unnormalized state v, minimizing
+         F(x) = R(v/|v|) (the scale gauge removed) with its analytic
+         gradient (2 Re g~, 2 Im g~), where g~ = (g - <u,g> u)/|v| is the
+         Wirtinger gradient g of R at u = v/|v| projected onto the sphere's
+         tangent space (Absil, Mahony & Sepulchre, 2008);
+      2. a mean-field refinement (smallest eigenvector of the mean-field
          operator K(psi), iterated), which evaluates residual values only.
 
     Minima with residual below the fixed gate
@@ -665,34 +664,25 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
     rng = np.random.default_rng(config.seed)
     starts = rng.standard_normal((config.n_restarts, 2 * d))
 
-    def objective(x):
+    def value_and_grad(x):
         v = x[:d] + 1j * x[d:]
         nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return scale
-        return _residual_value(terms, v / nrm)
-
-    def value(u):
-        return _residual_value(terms, u)
-
-    def grad(u):
-        return _residual_grad(terms, u)
+        u = v / nrm
+        g = _residual_grad(terms, u)
+        g = (g - np.vdot(u, g) * u) / nrm
+        return _residual_value(terms, u), 2.0 * np.concatenate([g.real, g.imag])
 
     hits = []
     for x0 in starts:
         res = minimize(
-            objective,
+            value_and_grad,
             x0,
-            method="Nelder-Mead",
-            options=dict(maxiter=SEARCH_MAX_ITERATIONS, fatol=1e-14 * scale, xatol=1e-10),
+            jac=True,
+            method="L-BFGS-B",
+            options=dict(maxiter=SEARCH_MAX_ITERATIONS, gtol=1e-14 * scale, ftol=0.0),
         )
         v = res.x[:d] + 1j * res.x[d:]
-        if np.linalg.norm(v) == 0.0:
-            v = x0[:d] + 1j * x0[d:]
         v = v / np.linalg.norm(v)
-        _, v = _descend_on_sphere(
-            value, grad, v, step=1.0, max_step=1e6, min_step=1e-14, gn2_floor=1e-30, max_iter=400
-        )
         val, v = _mean_field_refine(terms, v)
         if val < gate:
             hits.append((val, _gauge_fix(v)))
