@@ -406,7 +406,8 @@ def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
         c = model._diagonal_coefficients
         if not c.imag.any() and not rho0.imag.any():
             c, rho0 = c.real, rho0.real
-        return (rho0 * np.exp(c * t) for t in times)
+        c_max = float(np.abs(c).max())
+        return (rho0 * np.exp(_entrywise_exponent(c, c_max, t)) for t in times)
     if path == "sparse_expm_multiply":
         return _propagate_sparse(model, rho0, times)
     d = model.dim
@@ -425,6 +426,13 @@ def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
         prev_t = t
         out.append(vec.reshape(d, d).copy())
     return out
+
+
+def _entrywise_exponent(c: np.ndarray, c_max: float, t: float) -> np.ndarray:
+    """c t (c_max >= |c|), clipped near overflow: Re at -1e3, where exp is 0, Im at +-1e300."""
+    if c_max * float(t) < 1e300:
+        return c * t
+    return (np.maximum(c.real, -1e3 / t) + 1j * np.clip(c.imag, -1e300 / t, 1e300 / t)) * t
 
 
 def _propagate_sparse(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):

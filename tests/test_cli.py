@@ -615,6 +615,20 @@ def test_long_horizon_grid_simulate_exits_quietly(capsys):
     assert max(float(r[header.index("trace_error")]) for r in rows) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_long_horizon_dephasing_check_exits_quietly(capsys):
+    # c t overflows to -inf at t = 1e308 unless clipped, and an uncapped
+    # DOP853 step overflows scipy's step-size update
+    code, out, err = run_cli(
+        capsys,
+        "ppsd-check", "--model", "dephasing_qubit", "--state", "plus", "--t-max", "1e308",
+    )
+    assert code == 0
+    assert err == ""
+    _, header, rows = parse_csv(out)
+    assert rows[0][header.index("verdict")] == "no_ppsd"
+
+
 def test_search_occupied_thermal_bath_reports_no_states(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -440,6 +440,25 @@ def test_complex_entrywise_propagation_keeps_the_complex_expression():
         assert np.array_equal(out, rho0 * np.exp(c * t))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "spec", [ModelSpec("dephasing_qubit", {}), ModelSpec("phase_damped_oscillator", {"dim": 6})],
+    ids=["real", "complex"],
+)
+def test_entrywise_propagation_at_the_float_limit_keeps_only_the_populations(spec):
+    # c t overflows to -inf at t = 1e308 unless the exponent is clipped; the
+    # populations are constants of motion and every coherence has decayed
+    model = catalog_model(spec)
+    if model.dim == 2:
+        rho0 = np.full((2, 2), 0.5)
+    else:
+        rho0 = random_density(np.random.default_rng(5), model.dim).matrix
+    times = np.array([0.0, 1.0, 1e308])
+    states = list(lindblad._propagate_exact(model, rho0, times))
+    assert np.array_equal(states[1], rho0 * np.exp(model._diagonal_coefficients * 1.0))
+    assert np.array_equal(states[2], np.diag(np.diag(rho0)))
+
+
 @pytest.mark.parametrize(
     "spec, method, path",
     [

@@ -16,6 +16,7 @@ from ppsd_lab import (
     SearchConfig,
     StateVector,
     catalog_model,
+    coherent_state,
     consistency_check,
     effective_hamiltonian,
     evolve_pure_nonlinear,
@@ -286,6 +287,70 @@ def test_pure_flow_tracks_coherent_state_of_damped_oscillator():
     mixed = propagate(model, DensityMatrix.from_state(psi0), times)
     for p, s in zip(pure, mixed.states):
         assert trace_distance(DensityMatrix.from_state(p), s) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "spec, amps",
+    [
+        (ModelSpec("squeezed_vacuum_decay", {}), [1.0, 1j]),
+        (DEPHASING, [1.0, 0.5]),
+    ],
+    ids=["sampled", "diagonal"],
+)
+def test_pure_flow_is_one_solve_per_path(monkeypatch, spec, amps):
+    # every output point comes from the dense output of one DOP853 solve
+    calls, solve_ivp = [], ppsd.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("t_eval"))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(ppsd, "solve_ivp", counted)
+    states = evolve_pure_nonlinear(
+        catalog_model(spec), StateVector.normalized(amps), np.linspace(0.0, 2.0, 41)
+    )
+    assert len(calls) == 1
+    assert len(calls[0]) == 41
+    assert len(states) == 41
+    assert fidelity(states[0], states[-1]) < 0.95
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5 - 0.5j])
+def test_pure_flow_dense_output_follows_the_damped_coherent_state(alpha):
+    # at N = 0 a coherent state stays coherent: alpha(t) = alpha e^{-(i omega + gamma0/2) t}
+    dim = 40
+    model = catalog_model(
+        ModelSpec("damped_oscillator", {"gamma0": 1.0, "N": 0.0, "omega": 1.0, "dim": dim})
+    )
+    times = np.linspace(0.0, 6.0, 41)
+    path = evolve_pure_nonlinear(model, coherent_state(alpha, dim), times)
+    for p, t in zip(path, times):
+        exact = coherent_state(alpha * np.exp(-(1j + 0.5) * t), dim)
+        assert 1.0 - fidelity(p, exact) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, amps",
+    [
+        (ModelSpec("thermal_qubit", {"N": 0.3}), [1.0, 1.0]),
+        (ModelSpec("squeezed_vacuum_decay", {}), [1.0, 1j]),
+        (ModelSpec("three_level_atom", {}), [1.0, 1j, 1.0]),
+        (
+            ModelSpec("depolarizing", {"gamma_x": 0.5, "gamma_y": 1.0, "gamma_z": 1.5}),
+            [2.0, 1 + 1j],
+        ),
+        (ModelSpec("damped_oscillator", {"N": 0.3, "dim": 16}), None),
+    ],
+    ids=["thermal_qubit", "squeezed", "three_level_atom", "depolarizing", "damped_oscillator"],
+)
+def test_pure_flow_does_not_depend_on_the_output_grid(spec, amps):
+    model = catalog_model(spec)
+    psi0 = coherent_state(0.5, 16) if amps is None else StateVector.normalized(amps)
+    coarse = evolve_pure_nonlinear(model, psi0, np.linspace(0.0, 2.0, 41))
+    fine = evolve_pure_nonlinear(model, psi0, np.linspace(0.0, 2.0, 401))[::10]
+    assert fidelity(coarse[0], coarse[-1]) < 0.95
+    for a, b in zip(coarse, fine):
+        assert 1.0 - fidelity(a, b) <= 1e-12
 
 
 def _term_by_term_flow_rhs(model, y):
