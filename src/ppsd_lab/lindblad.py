@@ -33,18 +33,20 @@ Superoperator norms are Frobenius norms throughout.
 A model caches its per-term data and its generator on first use.
 ``_generator`` is the one generator: a sparse CSR array that the dense
 matrix, the action and its adjoint, the norm, the stationarity defect and
-the sparse and Runge-Kutta propagation paths all read.  ``_dissipators``
-holds (gamma, L, L^dag, L^dag L) for every nonzero-rate term and feeds the
-generator of a non-diagonal model and the residual, gradient and search
-kernels.  When H and every L are diagonal, ``_diagonal_jumps`` holds the
-same terms stacked as rates (k,) and diagonals (k, d); the entrywise
+the sparse and Runge-Kutta propagation paths all read.  The nonzero-rate
+terms are held in one of two stacked forms.  ``_jumps`` holds rates (k,)
+and the jump operators as one (k, d, d) array; it feeds the generator of a
+non-diagonal model and, in ``ppsd``, every residual, gradient, mean-field,
+pure-flow and search kernel of such a model, each written once as array
+expressions over the stack.  When H and every L are diagonal,
+``_diagonal_jumps`` holds rates (k,) and diagonals (k, d); the entrywise
 coefficients (``_diagonal_coefficients``, one matrix product), which are
 also the diagonal generator, and, in ``ppsd``, the pure-flow RHS, the
-residual, its scale and the exact zero-residual set read it.  Grid
-operators are stored as their diagonals (``Operator.from_diagonal``), so a
-diagonal grid model is built, propagates, is checked and is searched
-without forming a d x d array per term.  The sphere-search kernels read
-``_dissipators`` and run on non-diagonal models only.
+residual and its terms, its scale, the effective Hamiltonian and the exact
+zero-residual set read it.  Grid operators are stored as their diagonals
+(``Operator.from_diagonal``), so a diagonal grid model is built,
+propagates, is checked and is searched without forming a d x d array per
+term.
 """
 
 from __future__ import annotations
@@ -139,26 +141,23 @@ class LindbladModel:
         return [(t.rate, t.op) for t in self.terms if t.rate != 0.0]
 
     @cached_property
-    def _dissipators(self) -> tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...]:
-        """(rate, L, L^dag, L^dag L) for every nonzero-rate term, in model order.
+    def _jumps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rates (k,), L (k, d, d)) for the nonzero-rate terms, in model order.
 
-        The table the generator, residual and search kernels of a
-        non-diagonal model read.  It is built on first use and cached on
-        the (immutable) model; diagonal models propagate, apply the
-        generator, run the pure flow and evaluate and search the residual
-        from ``_diagonal_jumps`` and never build it there.  An operator
-        built from its diagonal forms its d x d matrix here, on first use,
-        and not before.
+        The stacked form the generator, residual, gradient, pure-flow and
+        search kernels of a non-diagonal model read.  It is built on first
+        use, cached on the (immutable) model and read-only; diagonal models
+        read ``_diagonal_jumps`` instead and never build it there.  An
+        operator built from its diagonal forms its d x d matrix here, on
+        first use, and not before.
         """
-        table = []
-        for rate, op in self._rated_terms():
-            L = op.matrix
-            Ld = L.conj().T
-            LdL = Ld @ L
-            Ld.setflags(write=False)
-            LdL.setflags(write=False)
-            table.append((rate, L, Ld, LdL))
-        return tuple(table)
+        rated = self._rated_terms()
+        rates = np.array([rate for rate, _ in rated], dtype=float)
+        L = np.array([op.matrix for _, op in rated], dtype=complex)
+        L = L.reshape(len(rated), self.dim, self.dim)
+        rates.setflags(write=False)
+        L.setflags(write=False)
+        return rates, L
 
     @cached_property
     def _diagonal_jumps(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -169,9 +168,9 @@ class LindbladModel:
         included, and is each operator's ``Operator.diagonal``: an operator
         built from its diagonal is read as stored, so a grid model forms no
         d x d array per term here.  The entrywise coefficients, the
-        pure-flow RHS, the residual, its scale and the exact zero set of a
-        diagonal model read this form instead of the dense
-        ``_dissipators`` table.
+        pure-flow RHS, the residual and its terms, its scale, the effective
+        Hamiltonian and the exact zero set of a diagonal model read this
+        form instead of the dense ``_jumps`` stack.
         """
         if any(op.diagonal is None for op in [self.hamiltonian] + [t.op for t in self.terms]):
             return None
@@ -217,8 +216,8 @@ class LindbladModel:
 
         The one representation every generator kernel reads.  A diagonal
         model holds vec(c) from ``_diagonal_coefficients`` on its diagonal
-        and never reads ``_dissipators``; any other model holds the
-        Kronecker sum of the module docstring over its nonzero-rate terms.
+        and never reads ``_jumps``; any other model holds the Kronecker sum
+        of the module docstring over the ``_jumps`` stack.
         """
         n = self.dim**2
         c = self._diagonal_coefficients
@@ -227,8 +226,8 @@ class LindbladModel:
         eye = sparse.identity(self.dim, dtype=complex, format="csr")
         h = sparse.csr_array(self.hamiltonian.matrix)
         sup = -1j * (sparse.kron(h, eye, format="csr") - sparse.kron(eye, h.T, format="csr"))
-        for rate, L, _, LdL in self._dissipators:
-            LdL = sparse.csr_array(LdL)
+        for rate, L in zip(*self._jumps):
+            LdL = sparse.csr_array(L.conj().T @ L)
             L = sparse.csr_array(L)
             sup = sup + rate * (
                 sparse.kron(L, L.conj(), format="csr")

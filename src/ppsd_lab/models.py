@@ -863,46 +863,37 @@ def hermitian_lindblad_fixed_points(model: LindbladModel) -> list[StateVector]:
     For Hermitian jump operators the residual equals the rate-weighted sum of
     variances, so zero-residual states are exactly the simultaneous
     eigenvectors.  The basis is found by diagonalizing a generic fixed-seed
-    combination of the family, verified eigenvector-by-eigenvector, and each
-    returned state is verified stationary under the full generator.
+    combination of the family and verified eigenvector by eigenvector
+    against every operator at once (a family with no common eigenbasis
+    fails the check on every attempt), and each returned state is verified
+    stationary under the full generator.
 
     Raises InvariantViolation when a non-Hermitian jump operator is present;
     returns an empty list (with a warning) when the family does not commute.
     """
-    table = model._dissipators
-    if not table:
+    rates, ops = model._jumps
+    if not rates.size:
         return []
-    if any(np.abs(L - Ld).max() > 1e-12 for _, L, Ld, _ in table):
+    if np.abs(ops - ops.conj().transpose(0, 2, 1)).max() > 1e-12:
         raise InvariantViolation("jump family contains a non-Hermitian operator")
-    ops = [L for _, L, _, _ in table]
-    scales = [max(np.abs(L).max(), 1e-300) for L in ops]
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            comm = ops[i] @ ops[j] - ops[j] @ ops[i]
-            if np.abs(comm).max() > 1e-10 * scales[i] * scales[j]:
-                warnings.warn("Hermitian jump family does not commute; no common basis")
-                return []
+    scales = np.maximum(np.abs(ops).max(axis=(1, 2)), 1e-300)
     d = model.dim
     gen_norm = liouvillian_norm(model)
     for attempt in range(5):
         rng = np.random.default_rng(12345 + attempt)
-        coeffs = rng.standard_normal(len(ops))
-        combo = sum(c / s * L for c, s, L in zip(coeffs, scales, ops))
+        coeffs = rng.standard_normal(rates.size)
+        combo = np.tensordot(coeffs / scales, ops, axes=1)
         _, vecs = np.linalg.eigh(combo)
-        ok = True
-        for k in range(d):
-            v = vecs[:, k]
-            for L, s in zip(ops, scales):
-                Lv = L @ v
-                if np.linalg.norm(Lv - np.vdot(v, Lv) * v) > 1e-8 * s:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        # column j of Lv[i] is L_i v_j; means[i, j] = <v_j, L_i v_j>
+        Lv = ops @ vecs
+        means = (vecs.conj() * Lv).sum(axis=1)
+        spread = np.linalg.norm(Lv - vecs * means[:, None, :], axis=1)
+        if np.all(spread <= 1e-8 * scales[:, None]):
             break
-    if not ok:
-        warnings.warn("failed to resolve a common eigenbasis numerically")
+    else:
+        warnings.warn(
+            "Hermitian jump family does not commute: no common eigenbasis resolved"
+        )
         return []
 
     states = []
@@ -917,9 +908,5 @@ def hermitian_lindblad_fixed_points(model: LindbladModel) -> list[StateVector]:
                 f"(defect {defect:.3e}); dropped"
             )
             continue
-        states.append(StateVector(v))
-    keys = [
-        tuple(np.round([np.vdot(s.amplitudes, L @ s.amplitudes).real for L in ops], 9))
-        for s in states
-    ]
-    return [s for _, s in sorted(zip(keys, states), key=lambda ks: ks[0])]
+        states.append((tuple(np.round(means[:, k].real, 9)), StateVector(v)))
+    return [s for _, s in sorted(states, key=lambda ks: ks[0])]

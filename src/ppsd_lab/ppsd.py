@@ -142,16 +142,14 @@ def residual_scale(model: LindbladModel) -> float:
     """sum_i gamma_i ||L_i||_2^2, the natural rate scale of the residual.
 
     On a diagonal model ||L_k||_2 = max_i |ell_ki|, read from the stacked
-    diagonals; other models take one 2-norm SVD per term.
+    diagonals; other models take the 2-norms of the stacked operators.
     """
     jumps = model._diagonal_jumps
     if jumps is not None:
         rates, ell = jumps
         return float(rates @ (np.abs(ell) ** 2).max(axis=1))
-    total = 0.0
-    for rate, L, _, _ in model._dissipators:
-        total += rate * float(np.linalg.norm(L, 2)) ** 2
-    return total
+    rates, L = model._jumps
+    return float((rates * np.linalg.norm(L, 2, axis=(1, 2)) ** 2).sum())
 
 
 def _model_state(model: LindbladModel, psi) -> np.ndarray:
@@ -170,18 +168,31 @@ def ppsd_residual_terms(model: LindbladModel, psi) -> np.ndarray:
     Each entry is non-negative up to roundoff (Cauchy-Schwarz with
     gamma_i >= 0); the residual is their sum.
     """
-    v = _model_state(model, psi)
-    return np.asarray(
-        [_term_residual(rate, L, v) for rate, L, _, _ in model._dissipators],
-        dtype=float,
-    )
+    rates, var = _rates_and_variances(model, _model_state(model, psi))
+    return rates * var
 
 
-def _term_residual(rate, L, v: np.ndarray):
-    """gamma (<L^dag L> - |<L>|^2) at unit v, with <L^dag L> taken as ||L v||^2."""
+def _rates_and_variances(model: LindbladModel, v: np.ndarray):
+    """(gamma (k,), <L_i^dag L_i> - |<L_i>|^2 (k,)) at unit v: on the
+    diagonal form when the model has one, else on the ``_jumps`` stack."""
+    jumps = model._diagonal_jumps
+    if jumps is None:
+        rates, L = model._jumps
+        return rates, _stacked_moments(L, v)[1]
+    rates, ell = jumps
+    p = np.abs(v) ** 2
+    return rates, np.abs(ell) ** 2 @ p - np.abs(ell @ p) ** 2
+
+
+def _stacked_moments(L: np.ndarray, v: np.ndarray):
+    """(<L_i> (k,), ||L_i v||^2 - |<L_i>|^2 (k,)) at unit v.
+
+    ``L @ v`` gives every L_i v at once, as a (k, d) array.
+    """
     Lv = L @ v
-    mean = np.vdot(v, Lv)
-    return rate * (np.vdot(Lv, Lv).real - abs(mean) ** 2)
+    means = Lv @ v.conj()
+    x = Lv.view(float)
+    return means, (x * x).sum(axis=1) - np.abs(means) ** 2
 
 
 def ppsd_residual(model: LindbladModel, psi) -> float:
@@ -193,20 +204,28 @@ def ppsd_residual(model: LindbladModel, psi) -> float:
 
         R = gamma . (|ell|^2 p - |ell p|^2);
 
-    any other model takes the sphere search's value: term by term in model
-    order, with <L^dag L> taken as ||L psi||^2.
+    any other model on its stacked jump operators, with <L^dag L> taken as
+    ||L psi||^2, as the in-order sum of ``ppsd_residual_terms``: the sphere
+    search's value, bit for bit.
     """
     return float(_model_residual(model, _model_state(model, psi)))
 
 
 def _model_residual(model: LindbladModel, v: np.ndarray):
-    """R at unit v, on the diagonal form when the model has one."""
-    jumps = model._diagonal_jumps
-    if jumps is None:
-        return _residual_value(model._dissipators, v)
-    rates, ell = jumps
-    p = np.abs(v) ** 2
-    return rates @ (np.abs(ell) ** 2 @ p - np.abs(ell @ p) ** 2)
+    """R at unit v, the rate-weighted sum of the variances: one dot product
+    on a diagonal model, the sum of the terms on any other."""
+    rates, var = _rates_and_variances(model, v)
+    if model._diagonal_jumps is not None:
+        return rates @ var
+    return (rates * var).sum()
+
+
+def _gram(rates: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """M = sum_i gamma_i L_i^dag L_i, as A^dag A for the (kd x d) stack A of
+    sqrt(gamma_i) L_i: one matrix product."""
+    k, d, _ = L.shape
+    A = (np.sqrt(rates)[:, None, None] * L).reshape(k * d, d)
+    return A.conj().T @ A
 
 
 def effective_hamiltonian(model: LindbladModel, psi) -> Operator:
@@ -214,17 +233,22 @@ def effective_hamiltonian(model: LindbladModel, psi) -> Operator:
 
     H_eff = H + i sum_i gamma_i ( <L_i^dag> L_i - 1/2 <L_i^dag L_i> I
                                   - 1/2 L_i^dag L_i ),
-    non-Hermitian in general.
+    non-Hermitian in general.  A diagonal model returns a diagonal operator
+    formed from its stacked diagonals.
     """
     v = _model_state(model, psi)
-    d = model.dim
-    eye = np.eye(d, dtype=complex)
-    h_eff = model.hamiltonian.matrix.astype(complex).copy()
-    for rate, L, Ld, LdL in model._dissipators:
-        mean_dag = np.vdot(v, Ld @ v)
-        mean_LdL = np.vdot(v, LdL @ v)
-        h_eff += 1j * rate * (mean_dag * L - 0.5 * mean_LdL * eye - 0.5 * LdL)
-    return Operator(h_eff)
+    jumps = model._diagonal_jumps
+    if jumps is not None:
+        rates, ell = jumps
+        p = np.abs(v) ** 2
+        b = rates @ (np.abs(ell) ** 2)
+        drift = (rates * (ell @ p).conj()) @ ell - 0.5 * b - 0.5 * (b @ p)
+        return Operator.from_diagonal(model.hamiltonian.diagonal + 1j * drift)
+    rates, L = model._jumps
+    M = _gram(rates, L)
+    C = np.tensordot(rates * ((L @ v) @ v.conj()).conj(), L, axes=1)
+    drift = C - 0.5 * M - 0.5 * np.vdot(v, M @ v).real * np.eye(model.dim)
+    return Operator(model.hamiltonian.matrix + 1j * drift)
 
 
 # ---------------------------------------------------------------------------
@@ -233,27 +257,23 @@ def effective_hamiltonian(model: LindbladModel, psi) -> Operator:
 
 
 def _pure_flow_rhs(model: LindbladModel):
+    """The pure-flow RHS: G y + (gamma conj(<L>)) . (L y) + s y with
+    G = -iH - M/2 formed once per solve.  The scalar s is the -1/2
+    <L^dag L> part of the drift plus the norm counterterm R; a multiple of
+    y, it leaves the ray untouched and only cancels the norm decay
+    -2 R |psi|^2 of the raw Schroedinger-like flow."""
     if model._diagonal_jumps is not None:
         return _diagonal_pure_flow_rhs(model)
-    terms = model._dissipators
-    h = model.hamiltonian.matrix
+    rates, L = model._jumps
+    static = -1j * model.hamiltonian.matrix - 0.5 * _gram(rates, L)
 
     def rhs(_t, y):
-        nrm = np.linalg.norm(y)
-        u = y / nrm
-        drift = -1j * (h @ u)
-        r_val = 0.0
-        for rate, L, _, LdL in terms:
-            Lu = L @ u
-            mean = np.vdot(u, Lu)
-            mean_LdL = np.vdot(u, LdL @ u).real
-            drift += rate * (np.conj(mean) * Lu - 0.5 * mean_LdL * u - 0.5 * (LdL @ u))
-            r_val += rate * (mean_LdL - abs(mean) ** 2)
-        # Scalar counterterm: removes the norm decay -2 R |psi|^2 of the raw
-        # Schroedinger-like flow.  It is a multiple of u, so the ray
-        # trajectory is untouched; only the bookkeeping norm changes.
-        drift += r_val * u
-        return drift * nrm
+        n = np.vdot(y, y).real
+        Ly = L @ y
+        means = (Ly @ y.conj()) / n
+        x = Ly.view(float)
+        scalar = rates @ (0.5 * (x * x).sum(axis=1) / n - np.abs(means) ** 2)
+        return static @ y + (rates * means.conj()) @ Ly + scalar * y
 
     return rhs
 
@@ -403,29 +423,24 @@ def consistency_check(
 # ---------------------------------------------------------------------------
 
 
-def _residual_value(terms, v):
-    """Residual at unit psi, summed term by term in order (no gradient)."""
-    val = 0.0
-    for rate, L, _, _ in terms:
-        val += _term_residual(rate, L, v)
-    return val
+def _mean_field_operator(rates, L, M, means) -> np.ndarray:
+    """K(psi) = sum_i gamma_i (L_i - <L_i>)^dag (L_i - <L_i>) from the means.
+
+    Expanded, K = M - C - C^dag + (gamma . |<L>|^2) I with the Gram matrix
+    M = sum_i gamma_i L_i^dag L_i and C = sum_i gamma_i conj(<L_i>) L_i.
+    """
+    C = ((rates * means.conj()) @ L.reshape(len(rates), -1)).reshape(M.shape)
+    K = M - C - C.conj().T
+    K.flat[:: K.shape[0] + 1] += rates @ np.abs(means) ** 2
+    return K
 
 
-def _residual_grad(terms, v):
-    """Wirtinger gradient d R / d conj(psi) of the residual at unit psi."""
-    grad = np.zeros_like(v)
-    for rate, L, Ld, LdL in terms:
-        Lv = L @ v
-        Ldv = Ld @ v
-        mean = np.vdot(v, Lv)
-        second = np.vdot(Lv, Lv).real
-        grad += rate * (
-            LdL @ v
-            - np.conj(mean) * Lv
-            - mean * Ldv
-            + (2 * abs(mean) ** 2 - second) * v
-        )
-    return grad
+def _residual_and_grad(rates, L, M, v):
+    """R and its Wirtinger gradient d R / d conj(psi) = K(psi) psi - R psi
+    at unit psi, with M the Gram matrix of ``_gram``."""
+    means, var = _stacked_moments(L, v)
+    val = (rates * var).sum()
+    return val, _mean_field_operator(rates, L, M, means) @ v - val * v
 
 
 def _descend_on_sphere(value, grad, v, step, max_step, min_step, gn2_floor, max_iter):
@@ -462,34 +477,24 @@ def _descend_on_sphere(value, grad, v, step, max_step, min_step, gn2_floor, max_
     return v
 
 
-def _mean_field_refine(terms, v, max_iter: int = 12):
+def _mean_field_refine(rates, L, M, v, max_iter: int = 12):
     """Self-consistent refinement of a near-minimum of the residual.
 
     R(psi) = <psi| K(psi) |psi> with the positive-semidefinite mean-field
-    operator K(psi) = sum_i gamma_i (L_i - <L_i>)^dag (L_i - <L_i>); near a
-    minimum, iterating "smallest eigenvector of K(v)" resolves the state far
-    beyond what the quadratic residual landscape lets a gradient method do.
-    Returns the better of (input, refined), with a roundoff slack so an
+    operator K(psi) of ``_mean_field_operator``; near a minimum, iterating
+    "smallest eigenvector of K(v)" resolves the state far beyond what the
+    quadratic residual landscape lets a gradient method do.  Returns the
+    better of (input, refined), with a roundoff slack (1e-14 tr M) so an
     exactly-zero refined residual beats a spuriously negative one.
     """
-    d = v.shape[0]
-    eye = np.eye(d, dtype=complex)
-    slack = 1e-14 * sum(rate * np.linalg.norm(L) ** 2 for rate, L, _, _ in terms)
-    best_val = _residual_value(terms, v)
-    best_v = v
+    slack = 1e-14 * np.trace(M).real
+    means, var = _stacked_moments(L, v)
+    best_val, best_v = (rates * var).sum(), v
     for _ in range(max_iter):
-        K = np.zeros((d, d), dtype=complex)
-        for rate, L, Ld, LdL in terms:
-            mean = np.vdot(v, L @ v)
-            K += rate * (
-                LdL
-                - np.conj(mean) * L
-                - mean * Ld
-                + abs(mean) ** 2 * eye
-            )
-        _, vecs = np.linalg.eigh(K)
+        _, vecs = np.linalg.eigh(_mean_field_operator(rates, L, M, means))
         v_new = vecs[:, 0]
-        val_new = _residual_value(terms, v_new)
+        means, var = _stacked_moments(L, v_new)
+        val_new = (rates * var).sum()
         if val_new < best_val + slack:
             best_val, best_v = min(val_new, best_val), v_new
         if np.linalg.norm(v_new - np.vdot(v, v_new) * v) < 1e-14:
@@ -651,7 +656,8 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
     groups = zero_residual_subspaces(model)
     if groups is not None:
         return _zero_set_reports(model, groups, gate)
-    terms = model._dissipators
+    rates, L = model._jumps
+    M = _gram(rates, L)
     d = model.dim
     rng = np.random.default_rng(config.seed)
     starts = rng.standard_normal((config.n_restarts, 2 * d))
@@ -660,9 +666,9 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
         v = x[:d] + 1j * x[d:]
         nrm = np.linalg.norm(v)
         u = v / nrm
-        g = _residual_grad(terms, u)
+        val, g = _residual_and_grad(rates, L, M, u)
         g = (g - np.vdot(u, g) * u) / nrm
-        return _residual_value(terms, u), 2.0 * np.concatenate([g.real, g.imag])
+        return val, 2.0 * np.concatenate([g.real, g.imag])
 
     hits = []
     for x0 in starts:
@@ -675,7 +681,7 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
         )
         v = res.x[:d] + 1j * res.x[d:]
         v = v / np.linalg.norm(v)
-        val, v = _mean_field_refine(terms, v)
+        val, v = _mean_field_refine(rates, L, M, v)
         if val < gate:
             hits.append((val, _gauge_fix(v)))
     # Deterministic merge order: residual first, then lexicographic on the

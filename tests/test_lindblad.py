@@ -131,7 +131,7 @@ def test_adjoint_action_is_the_frobenius_adjoint(spec):
 
 def test_generator_kernels_leave_the_dissipator_table_unbuilt():
     # a diagonal model's generator is read from its entrywise coefficients;
-    # the table would hold a dense 64 x 64 L^dag L for each of the 64 terms
+    # the jump stack would hold a dense 64 x 64 L for each of the 64 terms
     model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 64)))
     rho = DensityMatrix.maximally_mixed(64).matrix
     liouvillian_action(model, rho)
@@ -139,7 +139,7 @@ def test_generator_kernels_leave_the_dissipator_table_unbuilt():
     assert liouvillian_norm(model) > 0
     stationarity_defect(model, rho)
     assert "_generator" in model.__dict__
-    assert "_dissipators" not in model.__dict__
+    assert "_jumps" not in model.__dict__
 
 
 def test_diagonal_coefficients_vanish_on_the_diagonal():
@@ -385,13 +385,13 @@ def test_large_non_diagonal_run_stays_exact_and_sparse(monkeypatch):
 
 
 def test_diagonal_propagation_never_builds_the_dissipator_table():
-    # the table holds L^dag L for each of the 256 grid terms; the entrywise
+    # the jump stack holds a dense L for each of the 256 grid terms; the entrywise
     # path reads only the cached diagonal coefficients, formed from the
     # stored diagonals without densifying a single term
     model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 256)))
     propagate(model, DensityMatrix.maximally_mixed(256), np.linspace(0.0, 1.0, 3))
     assert "_diagonal_coefficients" in model.__dict__
-    assert "_dissipators" not in model.__dict__
+    assert "_jumps" not in model.__dict__
     assert not any("matrix" in t.op.__dict__ for t in model.terms)
 
 
@@ -511,9 +511,24 @@ def test_diagonal_jumps_stack_the_nonzero_rate_diagonals():
     model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 32)))
     rates, ell = model._diagonal_jumps
     assert rates.shape == (32,) and ell.shape == (32, 32)
-    for k, (rate, L, _, _) in enumerate(model._dissipators):
+    for k, (rate, L) in enumerate(zip(*model._jumps)):
         assert rates[k] == rate
         assert np.array_equal(ell[k], np.diag(L))
+
+
+def test_jumps_stack_the_nonzero_rate_operators_read_only():
+    model = catalog_model(ModelSpec("three_level_atom", {}))
+    off = np.zeros((3, 3), dtype=complex)
+    off[0, 1] = 1.0
+    padded = LindbladModel(
+        model.hamiltonian, (LindbladTerm(0.0, Operator(off)),) + model.terms, model.dim
+    )
+    rates, L = padded._jumps
+    assert rates.shape == (len(model.terms),) and L.shape == (len(model.terms), 3, 3)
+    assert not rates.flags.writeable and not L.flags.writeable
+    for k, term in enumerate(model.terms):
+        assert rates[k] == term.rate
+        assert np.array_equal(L[k], term.op.matrix)
 
 
 @pytest.mark.parametrize("spec", DESK_MODELS, ids=lambda s: s.name)

@@ -141,6 +141,8 @@ GRADIENT_SPECS = (
     ModelSpec("csl", {}),
     ModelSpec("squeezed_vacuum_decay", {}),
     ModelSpec("walls_collet_milburn", {"dim": 10}),
+    ModelSpec("nonadiabatic_driven", {"dim": 24}),
+    ModelSpec("multimode", {"N_1": 0.4}),
 )
 
 
@@ -149,7 +151,8 @@ def test_residual_gradient_matches_central_difference(spec):
     # along the great circle (psi + eps delta)/|psi + eps delta| with delta
     # tangent at psi, dR/deps = 2 Re <grad, delta> for the Wirtinger gradient
     model = catalog_model(spec)
-    terms = model._dissipators
+    rates, L = model._jumps
+    M = ppsd._gram(rates, L)
     rng = np.random.default_rng(41)
     eps = 1e-6
     for _ in range(3):
@@ -158,26 +161,40 @@ def test_residual_gradient_matches_central_difference(spec):
         delta = delta - np.vdot(v, delta) * v
         along = [ppsd_residual(model, StateVector.normalized(v + s * delta)) for s in (eps, -eps)]
         numeric = (along[0] - along[1]) / (2 * eps)
-        analytic = 2 * np.vdot(ppsd._residual_grad(terms, v), delta).real
+        analytic = 2 * np.vdot(ppsd._residual_and_grad(rates, L, M, v)[1], delta).real
         assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
 
 
 @pytest.mark.parametrize("spec", GRADIENT_SPECS, ids=lambda s: s.name)
 def test_residual_value_is_in_order_sum_of_terms(spec):
+    # the search's value, ppsd_residual and the sum of ppsd_residual_terms
+    # agree bit for bit on a non-diagonal model; numpy sums fewer than eight
+    # terms in order.  A diagonal model evaluates R as a dot product on its
+    # own form.
     model = catalog_model(spec)
-    terms = model._dissipators
+    rates, L = model._jumps
+    M = ppsd._gram(rates, L)
     rng = np.random.default_rng(42)
     for _ in range(5):
         psi = random_state(rng, model.dim)
+        terms = ppsd_residual_terms(model, psi)
+        assert len(terms) < 8
         running = 0.0
-        for term in ppsd_residual_terms(model, psi):
+        for term in terms:
             running += term
-        assert ppsd._residual_value(terms, psi.amplitudes) == running
+        assert terms.sum() == running
+        value = ppsd._residual_and_grad(rates, L, M, psi.amplitudes)[0]
+        if model._diagonal_jumps is None:
+            assert value == ppsd_residual(model, psi) == running
+        else:
+            assert value == pytest.approx(running, rel=1e-13)
+            assert ppsd_residual(model, psi) == pytest.approx(running, rel=1e-13)
 
 
 def test_zero_rate_term_leaves_every_kernel_bitwise_unchanged():
-    # a zero-rate term is dropped once, by the model's dissipator table, so
-    # the generator, its action, the residual and its gradient keep their bits
+    # a zero-rate term is dropped once, by the model's stacked jump array,
+    # so the generator, its action, the residual and its gradient keep
+    # their bits
     model = catalog_model(ModelSpec("three_level_atom", {}))
     rng = np.random.default_rng(43)
     d = model.dim
@@ -188,17 +205,20 @@ def test_zero_rate_term_leaves_every_kernel_bitwise_unchanged():
     padded = LindbladModel(
         model.hamiltonian, model.terms[:1] + (LindbladTerm(0.0, noise()),) + model.terms[1:], d
     )
-    assert len(padded._dissipators) == len(model._dissipators) > 1
+    assert len(model._jumps[0]) > 1
+    for got, want in zip(padded._jumps, model._jumps):
+        assert np.array_equal(got, want)
     assert np.array_equal(liouvillian_matrix(padded), liouvillian_matrix(model))
     rho = noise()
     assert np.array_equal(liouvillian_action(padded, rho), liouvillian_action(model, rho))
     for _ in range(3):
         psi = random_state(rng, d)
         assert ppsd_residual(padded, psi) == ppsd_residual(model, psi)
-        assert np.array_equal(
-            ppsd._residual_grad(padded._dissipators, psi.amplitudes),
-            ppsd._residual_grad(model._dissipators, psi.amplitudes),
-        )
+        grads = [
+            ppsd._residual_and_grad(*m._jumps, ppsd._gram(*m._jumps), psi.amplitudes)[1]
+            for m in (padded, model)
+        ]
+        assert np.array_equal(*grads)
 
 
 def test_multimode_zero_total_requires_zero_occupation():
@@ -354,12 +374,15 @@ def test_pure_flow_does_not_depend_on_the_output_grid(spec, amps):
 
 
 def _term_by_term_flow_rhs(model, y):
-    """Reference pure-flow RHS: two dense matvecs per dissipator-table term."""
+    """Reference pure-flow RHS, term by term from ``model.terms``: two dense
+    matvecs per term, nothing read from the model's caches."""
     nrm = np.linalg.norm(y)
     u = y / nrm
     drift = -1j * (model.hamiltonian.matrix @ u)
     r_val = 0.0
-    for rate, L, _, LdL in model._dissipators:
+    for term in model.terms:
+        rate, L = term.rate, term.op.matrix
+        LdL = L.conj().T @ L
         Lu = L @ u
         mean = np.vdot(u, Lu)
         mean_LdL = np.vdot(u, LdL @ u).real
@@ -392,11 +415,65 @@ def test_diagonal_pure_flow_matches_term_by_term_reference(spec):
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
-def test_diagonal_pure_flow_never_reads_the_dissipator_table(monkeypatch):
-    def refuse(_model):
-        raise AssertionError("dense dissipator table built")
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("thermal_qubit", {"N": 0.3}),
+        ModelSpec("three_level_atom", {}),
+        ModelSpec("squeezed_vacuum_decay", {}),
+        ModelSpec("damped_oscillator", {"dim": 16, "omega": 1.0}),
+        ModelSpec("nonadiabatic_driven", {"dim": 24}),
+        ModelSpec("multimode", {"N_1": 0.4}),
+    ],
+    ids=lambda s: s.name,
+)
+def test_stacked_pure_flow_matches_term_by_term_reference(spec):
+    model = catalog_model(spec)
+    assert model._diagonal_jumps is None
+    rhs = ppsd._pure_flow_rhs(model)
+    rng = np.random.default_rng(22)
+    for scale in (1.0, 3.0):
+        y = scale * random_state(rng, model.dim).amplitudes
+        expected = _term_by_term_flow_rhs(model, y)
+        got = rhs(0.0, y)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    monkeypatch.setattr(LindbladModel, "_dissipators", property(refuse))
+
+def _refuse_the_jump_stack(monkeypatch):
+    def refuse(_model):
+        raise AssertionError("dense jump stack built")
+
+    monkeypatch.setattr(LindbladModel, "_jumps", property(refuse))
+
+
+def test_diagonal_residual_terms_and_effective_hamiltonian_read_the_diagonals(monkeypatch):
+    grid = GridSpec(-5.0, 5.0, 64)
+    model = catalog_model(ModelSpec("grw", {}, grid))
+    psi = StateVector.normalized(np.exp(-((grid.points - 0.4) ** 2) / (4 * 0.7**2)))
+    v = psi.amplitudes
+    # references term by term from model.terms, read before the stack is refused
+    expected_terms, expected_heff = [], model.hamiltonian.matrix.astype(complex)
+    for term in model.terms:
+        L = term.op.matrix
+        LdL = L.conj().T @ L
+        mean, second = np.vdot(v, L @ v), np.vdot(v, LdL @ v).real
+        expected_terms.append(term.rate * (second - abs(mean) ** 2))
+        expected_heff = expected_heff + 1j * term.rate * (
+            np.conj(mean) * L - 0.5 * second * np.eye(model.dim) - 0.5 * LdL
+        )
+    model = catalog_model(ModelSpec("grw", {}, grid))
+    _refuse_the_jump_stack(monkeypatch)
+    terms = ppsd_residual_terms(model, psi)
+    heff = effective_hamiltonian(model, psi)
+    assert heff.diagonal is not None
+    scale = residual_scale(model)
+    assert np.abs(terms - expected_terms).max() <= 1e-13 * scale
+    assert np.abs(heff.matrix - expected_heff).max() <= 1e-13 * np.abs(expected_heff).max()
+    assert "_jumps" not in model.__dict__
+
+
+def test_diagonal_pure_flow_never_reads_the_dissipator_table(monkeypatch):
+    _refuse_the_jump_stack(monkeypatch)
     grid = GridSpec(-5.0, 5.0, 64)
     model = catalog_model(ModelSpec("grw", {}, grid))
     psi0 = StateVector.normalized(np.exp(-(grid.points**2) / (4 * 0.7**2)))
@@ -654,7 +731,7 @@ def test_diagonal_search_is_the_exact_fixed_point_set(monkeypatch, spec):
         for restarts in (1, 160):
             model = catalog_model(spec)
             reports = ppsd_search(model, SearchConfig(n_restarts=restarts, seed=seed))
-            assert "_dissipators" not in model.__dict__
+            assert "_jumps" not in model.__dict__
             assert len(reports) == len(reference)
             for ref in reference:
                 matches = [r for r in reports if fidelity(r.state, ref) >= 1.0 - 1e-12]
@@ -709,18 +786,18 @@ DIAGONAL_SPECS = (
 @pytest.mark.parametrize("spec", DIAGONAL_SPECS, ids=lambda s: s.name)
 def test_diagonal_residual_kernels_match_the_table(spec):
     model = catalog_model(spec)
-    table = catalog_model(spec)._dissipators
-    svd_scale = sum(rate * np.linalg.norm(L, 2) ** 2 for rate, L, _, _ in table)
+    rates, L = catalog_model(spec)._jumps
+    svd_scale = sum(rate * np.linalg.norm(op, 2) ** 2 for rate, op in zip(rates, L))
     scale = residual_scale(model)
     assert scale == pytest.approx(svd_scale, rel=1e-14)
     rng = np.random.default_rng(44)
     for _ in range(10):
         psi = random_state(rng, model.dim)
-        expected = ppsd._residual_value(table, psi.amplitudes)
+        expected = rates @ ppsd._stacked_moments(L, psi.amplitudes)[1]
         assert abs(ppsd_residual(model, psi) - expected) <= 1e-13 * scale
     report = consistency_check(model, random_state(rng, model.dim), t_max=0.5, n_steps=5)
     assert report.residual >= 0.0
-    assert "_dissipators" not in model.__dict__
+    assert "_jumps" not in model.__dict__
 
 
 def test_search_driven_oscillator_respects_additive_bound():
