@@ -441,7 +441,7 @@ def cmd_ppsd_check(args) -> int:
     _check_t_max(args.t_max)
     model, meta = resolve_model(args)
     psi = resolve_state(args.state, model, pure_required=True)
-    residual = ppsd_residual(model, psi)
+    residual = max(ppsd_residual(model, psi), 0.0)
     report = consistency_check(model, psi, t_max=args.t_max, n_steps=args.steps)
     meta = _base_metadata(meta)
     meta["state"] = args.state

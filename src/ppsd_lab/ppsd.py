@@ -66,7 +66,8 @@ VERDICT_PPSD = "ppsd_trajectory"
 VERDICT_STATIONARY = "stationary_only"
 VERDICT_NO_PPSD = "no_ppsd"
 
-#: L-BFGS-B iteration cap of each search restart.
+#: L-BFGS-B iteration cap of each ``_minimize_on_sphere`` run: every
+#: search restart and every stationarity snap.
 SEARCH_MAX_ITERATIONS = 400
 
 #: Two search hits are one state when their fidelity reaches this value.
@@ -443,38 +444,37 @@ def _residual_and_grad(rates, L, M, v):
     return val, _mean_field_operator(rates, L, M, means) @ v - val * v
 
 
-def _descend_on_sphere(value, grad, v, step, max_step, min_step, gn2_floor, max_iter):
-    """Projected-gradient descent with Armijo backtracking on the unit sphere.
+def _minimize_on_sphere(value_and_grad, x0: np.ndarray, gtol: float) -> np.ndarray:
+    """Minimise f on the unit sphere; the one sphere minimiser.
 
-    The Riemannian descent of Absil, Mahony & Sepulchre, *Optimization
-    Algorithms on Matrix Manifolds* (2008), for an objective ``value(u)``
-    with Wirtinger gradient ``grad(u)``, from a unit start v.  Trial points
-    are judged by value alone; the gradient is evaluated once per iteration,
-    at the current point.  The step carries over between iterations: it
-    doubles (up to ``max_step``) after an accepted point and halves while
-    backtracking.  Descent stops when the squared projected gradient norm
-    falls below ``gn2_floor``, when backtracking passes ``min_step``, or
-    after ``max_iter`` iterations.  Returns the last accepted point.
+    ``value_and_grad(u)`` gives f and its Wirtinger gradient g = d f /
+    d conj(u) at a unit state u.  L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM
+    J. Sci. Comput. 16 (1995) 1190) runs once, from ``x0``, on x = (Re v,
+    Im v) for an unnormalized state v, minimizing F(x) = f(v/|v|) (the scale
+    gauge removed) with the gradient (2 Re g~, 2 Im g~), where g~ = (g -
+    <u,g> u)/|v| is g at u = v/|v| projected onto the sphere's tangent
+    space (Absil, Mahony & Sepulchre, *Optimization Algorithms on Matrix
+    Manifolds*, 2008).  Returns the unit minimiser.
     """
-    val = value(v)
-    for _ in range(max_iter):
-        g = grad(v)
-        g = g - np.vdot(v, g) * v
-        gn2 = np.vdot(g, g).real
-        if gn2 < gn2_floor:
-            break
-        while step > min_step:
-            cand = v - step * g
-            cand = cand / np.linalg.norm(cand)
-            cand_val = value(cand)
-            if cand_val < val - 0.25 * step * gn2:
-                v, val = cand, cand_val
-                step = min(step * 2.0, max_step)
-                break
-            step *= 0.5
-        else:
-            break  # backtracking found no descent
-    return v
+    d = x0.size // 2
+
+    def fun(x):
+        v = x[:d] + 1j * x[d:]
+        nrm = np.linalg.norm(v)
+        u = v / nrm
+        val, g = value_and_grad(u)
+        g = (g - np.vdot(u, g) * u) / nrm
+        return val, 2.0 * np.concatenate([g.real, g.imag])
+
+    res = minimize(
+        fun,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        options=dict(maxiter=SEARCH_MAX_ITERATIONS, gtol=gtol, ftol=0.0),
+    )
+    v = res.x[:d] + 1j * res.x[d:]
+    return v / np.linalg.norm(v)
 
 
 def _mean_field_refine(rates, L, M, v, max_iter: int = 12):
@@ -510,11 +510,13 @@ def _stationarity_snap(model: LindbladModel, v: np.ndarray) -> np.ndarray:
     valley around their fixed point, so a residual-driven search resolves
     the state only to ~(machine eps)^(1/4).  The stationarity functional
     f(psi) = ||L[|psi><psi|]||_F^2 is quadratic in the state error and can
-    be polished to machine precision; candidates whose defect is already
-    within 1e-3 of the generator scale are refined by the projected-gradient
-    sphere descent ``_descend_on_sphere``, run on f with steps scaled by
-    1/||L||^2, guarded by a fidelity check so the snap never changes the
-    candidate.
+    be polished to machine precision.  A candidate whose defect is already
+    within 1e-3 ||L||_F (and nonzero) is refined by ``_minimize_on_sphere``
+    on f, with Wirtinger gradient 2 L^dag[L[|psi><psi|]] psi (one generator
+    action and one adjoint action per evaluation), to a projected-gradient
+    tolerance of 1e-14 ||L||_F^2.  The refined state is kept only when its
+    fidelity with the candidate is at least 1 - 1e-6, so the snap never
+    changes which state was found.
     """
     norm = liouvillian_norm(model)
     if norm == 0.0:
@@ -523,24 +525,12 @@ def _stationarity_snap(model: LindbladModel, v: np.ndarray) -> np.ndarray:
     if defect > 1e-3 * norm or defect == 0.0:
         return v
 
-    def value(u):
-        return stationarity_defect(model, np.outer(u, u.conj())) ** 2
+    def value_and_grad(u):
+        a = liouvillian_action(model, np.outer(u, u.conj()))
+        return np.vdot(a, a).real, 2.0 * (liouvillian_adjoint_action(model, a) @ u)
 
-    def grad(u):
-        rho_u = np.outer(u, u.conj())
-        b = liouvillian_adjoint_action(model, liouvillian_action(model, rho_u))
-        return 2.0 * (b @ u)
-
-    current = _descend_on_sphere(
-        value,
-        grad,
-        v,
-        step=1.0 / (4.0 * norm**2),
-        max_step=1.0 / norm**2,
-        min_step=1e-22 / norm**2,
-        gn2_floor=4.0 * (1e-14 * norm) ** 2,
-        max_iter=200,
-    )
+    x0 = np.concatenate([v.real, v.imag])
+    current = _minimize_on_sphere(value_and_grad, x0, gtol=1e-14 * norm**2)
     if abs(np.vdot(current, v)) ** 2 < 1.0 - 1e-6:
         return v
     return current
@@ -625,20 +615,19 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
     Any other model is searched on the unit sphere.  Each seeded restart
     runs two stages:
 
-      1. L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16 (1995)
-         1190) on x = (Re v, Im v) for an unnormalized state v, minimizing
-         F(x) = R(v/|v|) (the scale gauge removed) with its analytic
-         gradient (2 Re g~, 2 Im g~), where g~ = (g - <u,g> u)/|v| is the
-         Wirtinger gradient g of R at u = v/|v| projected onto the sphere's
-         tangent space (Absil, Mahony & Sepulchre, 2008);
+      1. ``_minimize_on_sphere`` (L-BFGS-B on x = (Re v, Im v)) on R with
+         its analytic Wirtinger gradient K(psi) psi - R psi, to a
+         projected-gradient tolerance of 1e-14 residual_scale(model);
       2. a mean-field refinement (smallest eigenvector of the mean-field
          operator K(psi), iterated), which evaluates residual values only.
 
     Minima with residual below the fixed gate
-    PPSD_RESIDUAL_RTOL * residual_scale(model) are kept, phase-gauge-fixed,
-    merged deterministically by (residual, lexicographic amplitudes), and
-    deduplicated: any two reported states have pairwise fidelity below
-    SEARCH_DEDUPE_FIDELITY.
+    PPSD_RESIDUAL_RTOL * residual_scale(model) are kept, phase-gauge-fixed
+    and deduplicated in (residual, amplitudes) order, so the lowest residual
+    of each cluster stays: any two reported states have pairwise fidelity
+    below SEARCH_DEDUPE_FIDELITY.  They are reported in the lexicographic
+    order of their gauge-fixed amplitudes, rounded to 10 decimals, and not
+    by residual: residuals below about 1e-16 are roundoff.
 
     Every reported state, exact or sampled, takes its verdict from
     ``consistency_check``; a sampled hit keeps the search's residual.  An
@@ -658,35 +647,23 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
         return _zero_set_reports(model, groups, gate)
     rates, L = model._jumps
     M = _gram(rates, L)
-    d = model.dim
     rng = np.random.default_rng(config.seed)
-    starts = rng.standard_normal((config.n_restarts, 2 * d))
-
-    def value_and_grad(x):
-        v = x[:d] + 1j * x[d:]
-        nrm = np.linalg.norm(v)
-        u = v / nrm
-        val, g = _residual_and_grad(rates, L, M, u)
-        g = (g - np.vdot(u, g) * u) / nrm
-        return val, 2.0 * np.concatenate([g.real, g.imag])
+    starts = rng.standard_normal((config.n_restarts, 2 * model.dim))
 
     hits = []
     for x0 in starts:
-        res = minimize(
-            value_and_grad,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(maxiter=SEARCH_MAX_ITERATIONS, gtol=1e-14 * scale, ftol=0.0),
+        v = _minimize_on_sphere(
+            lambda u: _residual_and_grad(rates, L, M, u), x0, gtol=1e-14 * scale
         )
-        v = res.x[:d] + 1j * res.x[d:]
-        v = v / np.linalg.norm(v)
         val, v = _mean_field_refine(rates, L, M, v)
         if val < gate:
             hits.append((val, _gauge_fix(v)))
-    # Deterministic merge order: residual first, then lexicographic on the
-    # rounded gauge-fixed amplitudes.
-    hits.sort(key=lambda h: (h[0], tuple(np.round(h[1].view(float), 10))))
+
+    def amplitudes(v):
+        return tuple(np.round(v.view(float), 10))
+
+    # Merge in residual order, so each cluster keeps its best point.
+    hits.sort(key=lambda h: (h[0], amplitudes(h[1])))
     kept: list[tuple[float, np.ndarray]] = []
     for val, v in hits:
         if all(abs(np.vdot(v, u)) ** 2 < SEARCH_DEDUPE_FIDELITY for _, u in kept):
@@ -698,6 +675,8 @@ def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> 
         psi = StateVector.normalized(_gauge_fix(_stationarity_snap(model, v)))
         report = consistency_check(model, psi, t_max=horizon, n_steps=40)
         reports.append(replace(report, residual=max(val, 0.0)))
+    # Report in amplitude order, which residual roundoff cannot reorder.
+    reports.sort(key=lambda r: amplitudes(r.state.amplitudes))
     return reports
 
 

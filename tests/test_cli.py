@@ -311,6 +311,21 @@ def test_check_squeezed_candidate_zero_residual_but_no_trajectory(capsys):
     assert rec["verdict"] == "no_ppsd"
 
 
+def test_check_prints_a_nonnegative_residual(capsys):
+    # R(psi) of this coherent state evaluates to -1.7e-16 in floating point;
+    # the printed purity-loss rate is clamped at 0 like the report's
+    code, out, _ = run_cli(
+        capsys,
+        "ppsd-check", "--model", "damped_oscillator", "--param", "N=0.0",
+        "--dim", "24", "--state", "coherent:0.395336,0.304141",
+    )
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    rec = dict(zip(header, rows[0]))
+    assert float(rec["residual"]) == 0.0
+    assert rec["verdict"] == "ppsd_trajectory"
+
+
 def test_check_dimension_mismatch_exits_two(capsys, tmp_path):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}))

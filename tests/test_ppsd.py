@@ -40,7 +40,7 @@ from ppsd_lab import (
 from ppsd_lab import ppsd
 from ppsd_lab.cli import main
 from ppsd_lab.errors import DimensionMismatch
-from ppsd_lab.lindblad import liouvillian_norm
+from ppsd_lab.lindblad import liouvillian_norm, stationarity_defect
 
 DEPHASING = ModelSpec("dephasing_qubit", {"gamma": 1.0})
 
@@ -647,6 +647,24 @@ def test_search_deterministic_for_fixed_seed():
         assert a.verdict == b.verdict
 
 
+@pytest.mark.parametrize(
+    "spec, restarts, seed",
+    [
+        (ModelSpec("squeezed_vacuum_decay", {"r": 0.3, "theta": 1.0}), 16, 5),
+        (ModelSpec("three_level_atom", {"N1": 0.0, "N2": 0.0}), 16, 3),
+        (ModelSpec("damped_oscillator", {"N": 0.0, "dim": 6}), 16, 0),
+    ],
+    ids=lambda p: p.name if isinstance(p, ModelSpec) else str(p),
+)
+def test_search_reports_rows_in_amplitude_order(spec, restarts, seed):
+    # rows follow the rounded gauge-fixed amplitudes, not the residuals,
+    # whose roundoff would reorder them
+    reports = ppsd_search(catalog_model(spec), SearchConfig(n_restarts=restarts, seed=seed))
+    assert len(reports) >= 2
+    keys = [tuple(np.round(r.state.amplitudes.view(float), 10)) for r in reports]
+    assert keys == sorted(keys)
+
+
 def test_search_respects_dedupe_contract():
     model = catalog_model(ModelSpec("phase_damped_oscillator", {"dim": 6}))
     config = SearchConfig(n_restarts=96, seed=2)
@@ -681,7 +699,8 @@ def test_search_nonnegative_residuals_and_report_invariants():
 def test_search_gradient_stage_matches_central_differences(monkeypatch, spec):
     # F(x) = R(v/|v|) with x = (Re v, Im v): the search hands minimize its
     # value and gradient together, and both must match R and its central
-    # differences off the unit sphere as well as on it
+    # differences off the unit sphere as well as on it.  No hit of these
+    # models is near-stationary, so no stationarity snap adds a call.
     calls = []
     minimize = ppsd.minimize
 
@@ -798,6 +817,68 @@ def test_diagonal_residual_kernels_match_the_table(spec):
     report = consistency_check(model, random_state(rng, model.dim), t_max=0.5, n_steps=5)
     assert report.residual >= 0.0
     assert "_jumps" not in model.__dict__
+
+
+def _refuse_minimize(*args, **kwargs):
+    raise AssertionError("the snap ran the sphere minimiser")
+
+
+def _snap_entry_defect(model, v):
+    """The snap's entry test quantity: defect of |v><v| over ||L||_F."""
+    return stationarity_defect(model, np.outer(v, v.conj())) / liouvillian_norm(model)
+
+
+def test_snap_pulls_a_perturbed_thermal_ground_state_onto_it():
+    model = catalog_model(ModelSpec("thermal_qubit", {"N": 0.0}))
+    v = np.array([1e-4, 1.0], dtype=complex)
+    v /= np.linalg.norm(v)
+    assert 0.0 < _snap_entry_defect(model, v) <= 1e-3
+    snapped = ppsd._stationarity_snap(model, v)
+    assert is_stationary_state(model, snapped)
+    assert abs(snapped[0]) ** 2 <= 1e-20
+
+
+def test_snap_pulls_a_perturbed_plane_point_back_into_the_plane():
+    # at N1 = N2 = 0 every state of span{|1>, |2>} is stationary
+    model = catalog_model(ModelSpec("three_level_atom", {"N1": 0.0, "N2": 0.0}))
+    v = np.array([0.6, 0.8 * np.exp(0.3j), 1e-4])
+    v /= np.linalg.norm(v)
+    assert 0.0 < _snap_entry_defect(model, v) <= 1e-3
+    snapped = ppsd._stationarity_snap(model, v)
+    assert is_stationary_state(model, snapped)
+    assert abs(snapped[2]) ** 2 <= 1e-20
+    assert fidelity(snapped, v) >= 1.0 - 1e-6
+
+
+def test_snap_leaves_a_non_stationary_eigenvector_untouched(monkeypatch):
+    # the squeezed zero-residual state is no fixed point of the generator:
+    # the entry test turns it away before any minimisation
+    monkeypatch.setattr(ppsd, "minimize", _refuse_minimize)
+    model = catalog_model(ModelSpec("squeezed_vacuum_decay", {"r": 0.3, "theta": 1.0}))
+    v = squeezed_ppsd_state(0.3, 1.0).amplitudes
+    assert _snap_entry_defect(model, v) > 1e-3
+    snapped = ppsd._stationarity_snap(model, v)
+    assert snapped is v
+    np.testing.assert_array_equal(snapped, squeezed_ppsd_state(0.3, 1.0).amplitudes)
+
+
+def test_snap_fidelity_guard_keeps_a_near_vacuum_coherent_state(monkeypatch):
+    # alpha = 0.01 passes the entry test, but the minimiser carries it to
+    # the vacuum (1 - F ~ 1e-4): the guard returns the candidate
+    minimize, minima = ppsd.minimize, []
+
+    def recording(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        minima.append(res.x[:6] + 1j * res.x[6:])
+        return res
+
+    monkeypatch.setattr(ppsd, "minimize", recording)
+    model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.0, "dim": 6}))
+    v = coherent_state(0.01, 6).amplitudes
+    assert 0.0 < _snap_entry_defect(model, v) <= 1e-3
+    np.testing.assert_array_equal(ppsd._stationarity_snap(model, v), v)
+    assert len(minima) == 1
+    assert fidelity(StateVector.normalized(minima[0]), v) < 1.0 - 1e-6
 
 
 def test_search_driven_oscillator_respects_additive_bound():
