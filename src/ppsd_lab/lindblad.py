@@ -25,8 +25,11 @@ and recorded in ``Trajectory.path``: entrywise exponentials when H and every
 L are diagonal (in real arithmetic when the coefficients and the initial
 state are real); a dense exp(L dt) for other models up to
 DENSE_GENERATOR_MAX_DIM; above it, the action of the exponential on
-vec(rho) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) on the
-sparse generator, which never forms a dim^2 x dim^2 dense array.
+vec(rho) by truncated Taylor series on the sparse generator (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33 (2011) 488, Alg. 5.2, with degree
+m = 55, theta_55 = 9.9 and the exact 1-norm; ``_propagate_sparse``),
+which never forms a dim^2 x dim^2 dense array and draws no random
+numbers.
 
 Superoperator norms are Frobenius norms throughout.
 
@@ -51,6 +54,7 @@ term.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -59,21 +63,29 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import DimensionMismatch, IntegrationFailure, InvariantViolation
 from .hilbert import HERMITICITY_TOL, DensityMatrix, GridSpec, Operator, _operator_array, purity
 
 #: Largest dimension at which a non-diagonal model propagates by a dense
-#: one-step exp(L dt).  Above it propagation applies expm_multiply to the
-#: sparse generator.
-#: Dense against sparse, damped oscillator on 41-101 points, one BLAS
-#: thread of a 2-core VM: d = 12 10 ms / 39-86 ms, d = 16 30-37 ms /
-#: 17-34 ms, d = 20 94-99 ms / 27-45 ms, d = 32 1.4 s / 52-91 ms.
+#: one-step exp(L dt).  Above it propagation runs the Taylor kernel of
+#: ``_propagate_sparse`` on the sparse generator.
+#: Dense against sparse, damped oscillator N = 0.3 on 41 and 101 points
+#: to t = 2 and 1.5, best of 3, one BLAS thread of a 2-core VM:
+#: d = 12 9-10 ms / 6-7 ms, d = 16 28-35 ms / 9 ms, d = 20 77-88 ms /
+#: 9-10 ms, d = 32 1.2 s / 29 ms.  The sparse kernel is the faster one
+#: from d = 12, but its work grows with ||L|| t and the dense step's does
+#: not, so long horizons at d <= 16 stay dense.
 DENSE_GENERATOR_MAX_DIM = 16
 
 #: Invariant gate applied to every propagated state (trace error, negativity).
 PROPAGATION_GATE = 1e-8
+
+#: Sparse-path Taylor degree m and its scaling bound theta_m (Al-Mohy &
+#: Higham 2011, Table 3.1), and the stopping test's tolerance, 2^-53.
+_TAYLOR_DEGREE = 55
+_THETA = 9.9
+_TOL = 2.0**-53
 
 _RK_OPTIONS = dict(method="DOP853", rtol=1e-10, atol=1e-12)
 
@@ -435,38 +447,83 @@ def _entrywise_exponent(c: np.ndarray, c_max: float, t: float) -> np.ndarray:
 
 
 def _propagate_sparse(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
-    """exp(L t) vec(rho0) at every time by expm_multiply on the sparse L.
+    """exp(L t) vec(rho0) at every time by truncated Taylor series on the sparse L.
 
-    A uniform grid takes one interval call; any other grid one call per
-    interval.  The leg [0, times[0]] is always its own call: scipy's
-    interval call reaches its first point with the scaling chosen for the
-    interval, which loses all accuracy when times[0] is long against the
-    interval (an error of 1e17 on linspace(5, 5.5, 6) at d = 24).
+    Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, Alg. 5.2, in the
+    paper's 1-norm branch.  L is shifted by mu = tr(L)/n, and the exact
+    1-norm of A = L - mu I (its largest absolute column sum) sets the
+    scaling: a leg of q steps h takes m = 55 terms at most and
+    s = ceil(q h ||A||_1 / theta_55) scaling steps, theta_55 = 9.9 (paper,
+    Table 3.1).  No norm is estimated, so the kernel draws no random
+    numbers.  A t ||A||_1 that overflows raises InvariantViolation.
 
-    expm_multiply's norm estimates draw from numpy's global generator; its
-    state is saved before the calls and restored after them, so propagation
-    leaves ``np.random`` as it found it.
+    The legs are [0, times[0]] as one step, then the uniform grid as one
+    leg or each interval of any other grid as its own.  When q > s, each
+    block of q // s steps computes its Taylor terms (hA)^p z / p! once, up
+    to the paper's stopping test at the block's last point, and forms
+    every point k of the block as exp(k h mu) sum_p k^p K[p].  When q <= s,
+    each interval takes one scaled step: ceil(h ||A||_1 / theta_55)
+    one-point blocks.  The points are summed elementwise, term by term,
+    not as one matrix product: a BLAS product's summation order follows
+    the thread count, and the outputs must not.  States are yielded block
+    by block.
     """
     d = model.dim
-    sup = model._generator
-    vec = rho0.reshape(d * d)
-    t0, t1 = times[0], times[-1]
-    global_state = np.random.get_state()
-    try:
-        if t0 > 0:
-            vec = expm_multiply(sup * t0, vec)
-        if t1 > t0 and np.array_equal(times, np.linspace(t0, t1, times.size)):
-            vecs = expm_multiply(sup, vec, start=0.0, stop=t1 - t0, num=times.size, endpoint=True)
-        else:
-            vecs, prev_t = [], t0
-            for t in times:
-                if t > prev_t:
-                    vec = expm_multiply(sup * (t - prev_t), vec)
-                prev_t = t
-                vecs.append(vec)
-    finally:
-        np.random.set_state(global_state)
-    return [v.reshape(d, d) for v in vecs]
+    n = d * d
+    gen = model._generator
+    mu = complex(gen.trace()) / n
+    A = gen - mu * sparse.identity(n, dtype=complex, format="csr")
+    norm = float(np.abs(A).sum(axis=0).max())
+    if not math.isfinite(float(times[-1]) * norm):
+        raise InvariantViolation(f"t ||L - mu I||_1 overflows at t={times[-1]:g}")
+    t0, q = float(times[0]), times.size - 1
+    legs = [(t0, 1)]
+    if q and np.array_equal(times, np.linspace(t0, times[-1], times.size)):
+        legs.append(((float(times[-1]) - t0) / q, q))
+    else:
+        legs += [(dt, 1) for dt in np.diff(times).tolist()]
+    K = np.empty((_TAYLOR_DEGREE + 1, n), dtype=complex)
+    z = rho0.reshape(n)
+    for h, q in legs:
+        s = max(1, math.ceil(q * h * norm / _THETA))
+        per, sub = (q // s, 1) if q > s else (1, max(1, math.ceil(h * norm / _THETA)))
+        m = _TAYLOR_DEGREE if h * norm > 0 else 0
+        for k0 in range(0, q, per):
+            for _ in range(sub):
+                block = _taylor_block(A, mu, z, h / sub, min(per, q - k0), K[: m + 1])
+                z = block[-1]
+            yield from (v.reshape(d, d) for v in block)
+
+
+def _taylor_block(A, mu: complex, z: np.ndarray, h: float, count: int, K: np.ndarray):
+    """exp(k h (A + mu I)) z for k = 1..count, as a (count, n) array.
+
+    The terms K[p] = (hA)^p z / p!, p < len(K), are written into K until
+    the paper's test holds at k = count: two consecutive terms
+    k^p ||K[p]||_inf within 2^-53 of the partial sum.  The partial sum's
+    norm is taken only once the test passes on its triangle-inequality
+    bound.  The last row is that partial sum; the others are
+    sum_p k^p K[p], added term by term.
+    """
+    out = np.empty((count, z.size), dtype=complex)
+    out[:] = K[0] = z
+    c1 = bound = np.abs(z).max()
+    p = 0
+    for p in range(1, len(K)):
+        np.multiply(A @ K[p - 1], h / p, out=K[p])
+        coeff = float(count) ** p
+        out[-1] += coeff * K[p]
+        c2 = coeff * np.abs(K[p]).max()
+        bound += c2
+        if c1 + c2 <= _TOL * bound and c1 + c2 <= _TOL * np.abs(out[-1]).max():
+            break
+        c1 = c2
+    if count > 1:
+        ks = np.arange(1.0, count)
+        for j in range(1, p + 1):
+            out[:-1] += (ks**j)[:, None] * K[j]
+    out *= np.exp(np.arange(1.0, count + 1) * h * mu)[:, None]
+    return out
 
 
 def _propagate_rk(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
@@ -488,9 +545,10 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
     1e-10 / atol 1e-12, run only when asked for).  The exact method is
     entrywise for diagonal models, a dense matrix exponential of the
     generator for other models up to DENSE_GENERATOR_MAX_DIM, and above it
-    expm_multiply on the sparse generator: one call for a uniform grid,
-    one per interval otherwise.  The dense, sparse and Runge-Kutta paths
-    read the model's one cached generator (``LindbladModel._generator``);
+    the Taylor kernel of ``_propagate_sparse`` on the sparse generator,
+    one leg for a uniform grid, one per interval otherwise.  The dense,
+    sparse and Runge-Kutta paths read the model's one cached generator
+    (``LindbladModel._generator``);
     the Runge-Kutta right-hand side is one sparse matrix-vector product.
 
     Every output is re-symmetrized, renormalized and checked against the

@@ -644,6 +644,20 @@ def test_long_horizon_dephasing_check_exits_quietly(capsys):
     assert rows[0][header.index("verdict")] == "no_ppsd"
 
 
+@pytest.mark.filterwarnings("error")
+def test_sparse_simulate_at_the_float_limit_exits_two_with_one_line(capsys):
+    # t ||L||_1 overflows at t = 1e308: one error line, no warning, no
+    # traceback
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--model", "damped_oscillator", "--param", "N=0.3", "--dim", "24",
+        "--t-max", "1e308", "--steps", "5",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_search_occupied_thermal_bath_reports_no_states(capsys):
     code, out, _ = run_cli(
         capsys,

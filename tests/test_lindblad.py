@@ -330,16 +330,19 @@ SPARSE_GRIDS = {
 }
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}),
-        ModelSpec("damped_oscillator", {"N": 0.3, "dim": 40}),
-        ModelSpec("nonadiabatic_driven", {"dim": 24}),
-        ModelSpec("multimode", {"n_modes": 2, "mode_dim": 5, "N_1": 0.2, "N_2": 0.4}),
-    ],
-    ids=lambda s: f"{s.name}-{s.params.get('dim', s.params.get('mode_dim'))}",
-)
+SPARSE_SPECS = [
+    ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}),
+    ModelSpec("damped_oscillator", {"N": 0.3, "dim": 40}),
+    ModelSpec("nonadiabatic_driven", {"dim": 24}),
+    ModelSpec("multimode", {"n_modes": 2, "mode_dim": 5, "N_1": 0.2, "N_2": 0.4}),
+]
+
+
+def _sparse_id(spec):
+    return f"{spec.name}-{spec.params.get('dim', spec.params.get('mode_dim'))}"
+
+
+@pytest.mark.parametrize("spec", SPARSE_SPECS, ids=_sparse_id)
 def test_sparse_propagation_matches_dense_expm(spec):
     model = catalog_model(spec)
     d = model.dim
@@ -358,8 +361,6 @@ def test_sparse_propagation_matches_dense_expm(spec):
 
 
 def test_sparse_propagation_ignores_the_global_random_state():
-    # expm_multiply's norm estimates draw from numpy's global generator;
-    # reruns must still give the same bytes
     model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}))
     rho0 = DensityMatrix.from_state(coherent_state(0.6 - 0.4j, 24))
     runs = []
@@ -367,6 +368,52 @@ def test_sparse_propagation_ignores_the_global_random_state():
         np.random.seed(seed)
         runs.append(np.array([s.matrix for s in propagate(model, rho0, np.linspace(0, 1.5, 31)).states]))
     assert all(np.array_equal(runs[0], r) for r in runs[1:])
+
+
+#: Past SPARSE_GRIDS: 101 points on [0, 1.5], where one block of Taylor
+#: terms gives several points (q > s), and a long horizon, where each
+#: interval takes several scaled steps (q <= s).  The horizon is 20, not
+#: longer: roundoff grows with the step count, and by t = 50 the kernel
+#: and scipy each sit 5e-14 to 7e-14 from a dense expm at d = 40, which
+#: puts them 1.1e-13 apart.
+KERNEL_GRIDS = dict(
+    SPARSE_GRIDS, simulate=np.linspace(0.0, 1.5, 101), long=np.linspace(0.0, 20.0, 11)
+)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        *map(catalog_model, SPARSE_SPECS),
+        LindbladModel(hamiltonian=Operator(np.zeros((24, 24))), terms=(), dim=24),
+    ],
+    ids=[*map(_sparse_id, SPARSE_SPECS), "zero"],
+)
+def test_sparse_kernel_matches_scipy_expm_multiply(model, monkeypatch):
+    # scipy's implementation of the same algorithm (its norm-estimate
+    # branch included) is an independent oracle, one call per time point
+    from scipy.sparse.linalg import expm_multiply
+
+    d = model.dim
+    rho0 = random_density(np.random.default_rng(d + 1), d).matrix
+    taylor_block, blocks = lindblad._taylor_block, []
+
+    def spy(A, mu, z, h, count, K):
+        blocks.append(count)
+        return taylor_block(A, mu, z, h, count, K)
+
+    monkeypatch.setattr(lindblad, "_taylor_block", spy)
+    for name, times in KERNEL_GRIDS.items():
+        blocks.clear()
+        got = np.array(list(lindblad._propagate_sparse(model, rho0, times)))
+        want = np.array([expm_multiply(model._generator * t, rho0.reshape(-1)) for t in times])
+        assert got.shape == (times.size, d, d)
+        err = np.abs(got.reshape(want.shape) - want).max()
+        assert err <= 1e-13 * np.abs(want).max(), (name, err)
+        if name == "simulate":
+            assert max(blocks) > 1
+        if name == "long" and model.terms:
+            assert len(blocks) > times.size and max(blocks) == 1
 
 
 def test_large_non_diagonal_run_stays_exact_and_sparse(monkeypatch):
