@@ -12,9 +12,9 @@ vanishes.  The quadratic has discriminant 4(-N^2 - N): at N = 0 the only
 root is p = 0 (the ground state, a fixed point that provides no motion),
 and for any N > 0 there is no root at all.
 
-This script evaluates the closed-form root structure, confirms it with a
-seeded derivative-free search over the state sphere, and shows on a Bloch
-scan how the residual floor N(N+1)/(2N+1) lifts off zero as the bath warms.
+This script evaluates the closed-form root structure, confirms it with
+the search's exact zero-residual set, and shows on a Bloch scan how the
+residual floor N(N+1)/(2N+1) lifts off zero as the bath warms.
 
 Run:  python3 demos/02_thermal_qubit_pure_state_search.py
 Exit: 0 when every check passes.
@@ -26,7 +26,6 @@ import numpy as np
 
 from ppsd_lab import (
     ModelSpec,
-    SearchConfig,
     StateVector,
     catalog_model,
     fidelity,
@@ -46,13 +45,12 @@ def bloch_state(theta, phi) -> StateVector:
 
 def main() -> int:
     failures = []
-    config = SearchConfig(n_restarts=64, seed=11)
 
     print("occupation N | closed-form roots | search hits | sphere floor")
     for N in (0.0, 0.1, 0.5, 1.0, 2.0):
         model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": N}))
         roots = thermal_qubit_ppsd_roots(N)
-        hits = ppsd_search(model, config)
+        hits = ppsd_search(model)
 
         floor = min(
             ppsd_residual(model, bloch_state(th, ph))

@@ -16,9 +16,9 @@ propagating either one through the master equation drops the Bloch-vector
 norm below 1 immediately (at third order in t), which the consistency check
 flags as verdict "no_ppsd".
 
-The script finds both states by seeded sphere search, verifies the exact
-eigenstructure, and cross-validates the closed-form Bloch solution of the
-model against direct propagation.
+The script finds both states as the joint eigenspaces the search
+enumerates, verifies the exact eigenstructure, and cross-validates the
+closed-form Bloch solution of the model against direct propagation.
 
 Run:  python3 demos/03_squeezed_decay_candidate_pair.py
 Exit: 0 when every check passes.
@@ -32,7 +32,6 @@ import numpy as np
 from ppsd_lab import (
     DensityMatrix,
     ModelSpec,
-    SearchConfig,
     catalog_model,
     fidelity,
     fig3_initial_bloch,
@@ -67,8 +66,8 @@ def main() -> int:
     overlap = fidelity(plus_branch, minus_branch)
     print(f"  pair fidelity |<+|->|^2 = {overlap:.6f} (two distinct states)")
 
-    reports = ppsd_search(model, SearchConfig(n_restarts=64, seed=7))
-    print(f"\nsphere search found {len(reports)} zero-residual state(s):")
+    reports = ppsd_search(model)
+    print(f"\nsearch found {len(reports)} zero-residual state(s):")
     for rep in reports:
         match = max(fidelity(rep.state, plus_branch), fidelity(rep.state, minus_branch))
         print(

@@ -39,9 +39,7 @@ from .hilbert import (
 from .lindblad import (
     LindbladModel,
     LindbladTerm,
-    Superoperator,
     Trajectory,
-    build_liouvillian,
     is_unital,
     liouvillian_action,
     liouvillian_matrix,
@@ -90,6 +88,7 @@ from .ppsd import (
     ppsd_search,
     residual_scale,
     trace_distance,
+    unlisted_hits,
     unraveling_check,
     zero_residual_subspaces,
 )

@@ -39,9 +39,9 @@ matrix, the action and its adjoint, the norm, the stationarity defect and
 the sparse and Runge-Kutta propagation paths all read.  The nonzero-rate
 terms are held in one of two stacked forms.  ``_jumps`` holds rates (k,)
 and the jump operators as one (k, d, d) array; it feeds the generator of a
-non-diagonal model and, in ``ppsd``, every residual, gradient, mean-field,
-pure-flow and search kernel of such a model, each written once as array
-expressions over the stack.  When H and every L are diagonal,
+non-diagonal model and, in ``ppsd``, every residual, gradient, pure-flow,
+joint-eigenspace and search kernel of such a model, each written once as
+array expressions over the stack.  When H and every L are diagonal,
 ``_diagonal_jumps`` holds rates (k,) and diagonals (k, d); the entrywise
 coefficients (``_diagonal_coefficients``, one matrix product), which are
 also the diagonal generator, and, in ``ppsd``, the pure-flow RHS, the
@@ -250,34 +250,6 @@ class LindbladModel:
 
 
 @dataclass(frozen=True)
-class Superoperator:
-    """A dim^2 x dim^2 matrix acting on row-major vectorized density matrices.
-
-    Construction checks that the trace functional vec(I) is a left null
-    vector (trace preservation) within 1e-10 relative to the entry scale.
-    """
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim**2, self.dim**2):
-            raise DimensionMismatch(
-                f"superoperator shape {m.shape} does not match dim {self.dim}"
-            )
-        trace_row = np.eye(self.dim, dtype=complex).reshape(-1) @ m
-        scale = max(1.0, float(np.abs(m).max()))
-        defect = float(np.abs(trace_row).max())
-        if defect > 1e-10 * scale:
-            raise InvariantViolation(
-                f"superoperator does not preserve trace (defect {defect:.3e})"
-            )
-        object.__setattr__(self, "matrix", m)
-        self.matrix.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Times, propagated states, and their purities.
 
@@ -325,11 +297,6 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     return model._generator.toarray()
 
 
-def build_liouvillian(model: LindbladModel) -> Superoperator:
-    """Generator of the model as a trace-preserving Superoperator."""
-    return Superoperator(model.dim, liouvillian_matrix(model))
-
-
 def liouvillian_action(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     """Apply the generator to a d x d matrix: one sparse matrix-vector product."""
     d = model.dim
@@ -363,14 +330,15 @@ def _validated_state(rho: np.ndarray, t: float) -> DensityMatrix:
 
     Hermiticity is restored exactly by (rho + rho^dag)/2 and the trace is
     renormalized to 1; trace error (before renormalization) and negativity
-    beyond PROPAGATION_GATE raise IntegrationFailure.  The state is
+    beyond PROPAGATION_GATE, or a trace that is not a number, raise
+    IntegrationFailure.  The state is
     diagonalised once: it is built with its positivity check off
     (eig_tol=inf) and the gate reads its ``min_eigenvalue``, which is the
     value the returned state carries.
     """
     sym = (rho + rho.conj().T) / 2
     tr = sym.trace().real
-    if abs(tr - 1.0) > PROPAGATION_GATE:
+    if not abs(tr - 1.0) <= PROPAGATION_GATE:
         raise IntegrationFailure(f"trace error {abs(tr - 1.0):.3e} at t={t}")
     state = DensityMatrix(sym / tr, eig_tol=np.inf)
     if state.min_eigenvalue < -PROPAGATION_GATE:
@@ -430,7 +398,7 @@ def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
     for t in times:
         dt = t - prev_t
         if dt > 0:
-            key = round(dt, 15)
+            key = round(float(dt), 15)
             if key not in step_cache:
                 step_cache[key] = expm(sup * dt)
             vec = step_cache[key] @ vec

@@ -12,10 +12,11 @@ a simultaneous eigenvector of every jump operator with nonzero rate.
 
 This module evaluates the residual R, builds the state-dependent effective
 (non-Hermitian) generator of the purity-preserving flow, integrates that flow,
-checks candidate pure trajectories against the full master equation, finds
-the zero-residual states (exactly on diagonal models, by a sphere search on
-the others), verifies pure-state unravelings of density-matrix trajectories,
-and evaluates projector history chains.
+checks candidate pure trajectories against the full master equation,
+enumerates the zero-residual states exactly as joint eigenspaces of the jump
+operators (with a sphere search as a cross-check that lists nothing),
+verifies pure-state unravelings of density-matrix trajectories, and
+evaluates projector history chains.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .lindblad import (
     _RK_OPTIONS,
     LindbladModel,
     liouvillian_action,
-    liouvillian_adjoint_action,
     liouvillian_norm,
     propagate,
     stationarity_defect,
@@ -66,12 +66,8 @@ VERDICT_PPSD = "ppsd_trajectory"
 VERDICT_STATIONARY = "stationary_only"
 VERDICT_NO_PPSD = "no_ppsd"
 
-#: L-BFGS-B iteration cap of each ``_minimize_on_sphere`` run: every
-#: search restart and every stationarity snap.
+#: L-BFGS-B iteration cap of each restart of ``unlisted_hits``.
 SEARCH_MAX_ITERATIONS = 400
-
-#: Two search hits are one state when their fidelity reaches this value.
-SEARCH_DEDUPE_FIDELITY = 0.999
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,8 @@ class PpsdReport:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the sphere search (all deterministic given ``seed``)."""
+    """Knobs for the sphere-search cross-check of ``unlisted_hits`` (all
+    deterministic given ``seed``); the zero set itself takes none."""
 
     n_restarts: int = 32
     seed: int = 0
@@ -420,120 +417,24 @@ def consistency_check(
 
 
 # ---------------------------------------------------------------------------
-# sphere search
+# exact zero-residual set and its cross-check
 # ---------------------------------------------------------------------------
-
-
-def _mean_field_operator(rates, L, M, means) -> np.ndarray:
-    """K(psi) = sum_i gamma_i (L_i - <L_i>)^dag (L_i - <L_i>) from the means.
-
-    Expanded, K = M - C - C^dag + (gamma . |<L>|^2) I with the Gram matrix
-    M = sum_i gamma_i L_i^dag L_i and C = sum_i gamma_i conj(<L_i>) L_i.
-    """
-    C = ((rates * means.conj()) @ L.reshape(len(rates), -1)).reshape(M.shape)
-    K = M - C - C.conj().T
-    K.flat[:: K.shape[0] + 1] += rates @ np.abs(means) ** 2
-    return K
 
 
 def _residual_and_grad(rates, L, M, v):
     """R and its Wirtinger gradient d R / d conj(psi) = K(psi) psi - R psi
-    at unit psi, with M the Gram matrix of ``_gram``."""
+    at unit psi, with M the Gram matrix of ``_gram``.
+
+    K(psi) = sum_i gamma_i (L_i - <L_i>)^dag (L_i - <L_i>) is formed from
+    the means as M - C - C^dag + (gamma . |<L>|^2) I, with
+    C = sum_i gamma_i conj(<L_i>) L_i.
+    """
     means, var = _stacked_moments(L, v)
     val = (rates * var).sum()
-    return val, _mean_field_operator(rates, L, M, means) @ v - val * v
-
-
-def _minimize_on_sphere(value_and_grad, x0: np.ndarray, gtol: float) -> np.ndarray:
-    """Minimise f on the unit sphere; the one sphere minimiser.
-
-    ``value_and_grad(u)`` gives f and its Wirtinger gradient g = d f /
-    d conj(u) at a unit state u.  L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM
-    J. Sci. Comput. 16 (1995) 1190) runs once, from ``x0``, on x = (Re v,
-    Im v) for an unnormalized state v, minimizing F(x) = f(v/|v|) (the scale
-    gauge removed) with the gradient (2 Re g~, 2 Im g~), where g~ = (g -
-    <u,g> u)/|v| is g at u = v/|v| projected onto the sphere's tangent
-    space (Absil, Mahony & Sepulchre, *Optimization Algorithms on Matrix
-    Manifolds*, 2008).  Returns the unit minimiser.
-    """
-    d = x0.size // 2
-
-    def fun(x):
-        v = x[:d] + 1j * x[d:]
-        nrm = np.linalg.norm(v)
-        u = v / nrm
-        val, g = value_and_grad(u)
-        g = (g - np.vdot(u, g) * u) / nrm
-        return val, 2.0 * np.concatenate([g.real, g.imag])
-
-    res = minimize(
-        fun,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(maxiter=SEARCH_MAX_ITERATIONS, gtol=gtol, ftol=0.0),
-    )
-    v = res.x[:d] + 1j * res.x[d:]
-    return v / np.linalg.norm(v)
-
-
-def _mean_field_refine(rates, L, M, v, max_iter: int = 12):
-    """Self-consistent refinement of a near-minimum of the residual.
-
-    R(psi) = <psi| K(psi) |psi> with the positive-semidefinite mean-field
-    operator K(psi) of ``_mean_field_operator``; near a minimum, iterating
-    "smallest eigenvector of K(v)" resolves the state far beyond what the
-    quadratic residual landscape lets a gradient method do.  Returns the
-    better of (input, refined), with a roundoff slack (1e-14 tr M) so an
-    exactly-zero refined residual beats a spuriously negative one.
-    """
-    slack = 1e-14 * np.trace(M).real
-    means, var = _stacked_moments(L, v)
-    best_val, best_v = (rates * var).sum(), v
-    for _ in range(max_iter):
-        _, vecs = np.linalg.eigh(_mean_field_operator(rates, L, M, means))
-        v_new = vecs[:, 0]
-        means, var = _stacked_moments(L, v_new)
-        val_new = (rates * var).sum()
-        if val_new < best_val + slack:
-            best_val, best_v = min(val_new, best_val), v_new
-        if np.linalg.norm(v_new - np.vdot(v, v_new) * v) < 1e-14:
-            break
-        v = v_new
-    return best_val, best_v
-
-
-def _stationarity_snap(model: LindbladModel, v: np.ndarray) -> np.ndarray:
-    """Pull a near-stationary candidate onto the stationary manifold.
-
-    Jump operators with nilpotent structure give the residual a quartic
-    valley around their fixed point, so a residual-driven search resolves
-    the state only to ~(machine eps)^(1/4).  The stationarity functional
-    f(psi) = ||L[|psi><psi|]||_F^2 is quadratic in the state error and can
-    be polished to machine precision.  A candidate whose defect is already
-    within 1e-3 ||L||_F (and nonzero) is refined by ``_minimize_on_sphere``
-    on f, with Wirtinger gradient 2 L^dag[L[|psi><psi|]] psi (one generator
-    action and one adjoint action per evaluation), to a projected-gradient
-    tolerance of 1e-14 ||L||_F^2.  The refined state is kept only when its
-    fidelity with the candidate is at least 1 - 1e-6, so the snap never
-    changes which state was found.
-    """
-    norm = liouvillian_norm(model)
-    if norm == 0.0:
-        return v
-    defect = stationarity_defect(model, np.outer(v, v.conj()))
-    if defect > 1e-3 * norm or defect == 0.0:
-        return v
-
-    def value_and_grad(u):
-        a = liouvillian_action(model, np.outer(u, u.conj()))
-        return np.vdot(a, a).real, 2.0 * (liouvillian_adjoint_action(model, a) @ u)
-
-    x0 = np.concatenate([v.real, v.imag])
-    current = _minimize_on_sphere(value_and_grad, x0, gtol=1e-14 * norm**2)
-    if abs(np.vdot(current, v)) ** 2 < 1.0 - 1e-6:
-        return v
-    return current
+    C = ((rates * means.conj()) @ L.reshape(len(rates), -1)).reshape(M.shape)
+    K = M - C - C.conj().T
+    K.flat[:: K.shape[0] + 1] += rates @ np.abs(means) ** 2
+    return val, K @ v - val * v
 
 
 def _gauge_fix(v: np.ndarray) -> np.ndarray:
@@ -541,6 +442,11 @@ def _gauge_fix(v: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(np.abs(v) > 1e-8))
     phase = v[idx] / abs(v[idx]) if abs(v[idx]) > 0 else 1.0
     return v / phase
+
+
+def _amplitude_key(v: np.ndarray) -> tuple:
+    """The amplitudes rounded to 10 decimals, (Re, Im) in turn: the row order."""
+    return tuple(np.round(np.ascontiguousarray(v).view(float), 10))
 
 
 def fidelity(psi_a, psi_b) -> float:
@@ -555,129 +461,192 @@ def _default_consistency_horizon(model: LindbladModel) -> float:
     return 2.0 / scale if scale > 0 else 1.0
 
 
-def zero_residual_subspaces(model: LindbladModel) -> list[list[int]] | None:
-    """The exact zero-residual set of a diagonal model, or None.
+def _canonical_basis(B: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of span(B) that depends on the subspace alone.
 
-    When H and every jump operator are diagonal, R = gamma . (|ell|^2 p -
-    |ell p|^2) with p = |psi|^2 is a rate-weighted sum of variances of the
-    diagonals under p.  It vanishes exactly when p sits on basis vectors
-    that share one signature ell[:, i] over the nonzero-rate terms (the
-    simplest case of Shemesh, Linear Algebra Appl. 62 (1984) 11).  Returns
-    those groups of basis indices, each ascending, ordered by their
-    smallest index: every state supported on one group has zero residual,
-    and no other state has.  Signatures are compared exactly, with no
-    tolerance, since distinct but tiny values (the Gaussian tails of a
-    localisation family) are distinct signatures.
+    Gram-Schmidt runs over P e_0, P e_1, ..., with P = B B^dag, and keeps a
+    vector when its remainder has squared norm above 1/(2d); the remainders'
+    squared norms sum to the dimension still missing, so the scan always
+    completes the basis.  A coordinate subspace so gives its coordinate
+    vectors.  Each vector is gauge-fixed, and real and imaginary parts
+    below 1e-12, which are SVD roundoff, are set to 0.
+    """
+    d, m = B.shape
+    P = B @ B.conj().T
+    basis = np.empty((d, m), dtype=complex)
+    k = 0
+    for p in P.T:
+        v = p - basis[:, :k] @ (basis[:, :k].conj().T @ p)
+        norm = np.linalg.norm(v)
+        if norm * norm > 0.5 / d:
+            basis[:, k] = _gauge_fix(v / norm)
+            k += 1
+            if k == m:
+                break
+    basis.real[np.abs(basis.real) < 1e-12] = 0.0
+    basis.imag[np.abs(basis.imag) < 1e-12] = 0.0
+    return basis
 
-    Any other model returns None: its zero set is only sampled, by the
-    sphere search.  This is the one place that decides which of the two
-    ``ppsd_search`` gives.
+
+def _joint_eigenspaces(L: np.ndarray) -> list[np.ndarray]:
+    """Canonical bases of the joint eigenspaces of the stacked operators L.
+
+    Starts from the whole space, Q = I, and splits each subspace by one
+    operator at a time.  The eigenvalues mu of L_i on span(Q) are among
+    those of Q^dag L_i Q; each such candidate keeps the null space of
+    (L_i - mu) Q, found by SVD at 1e-9 ||L_i||_2, and a candidate within
+    that tolerance of one already taken is skipped.  Every subspace kept
+    takes its ``_canonical_basis`` before the next operator, so the
+    compression of a ladder operator to a coordinate subspace is the
+    triangular matrix itself, whose eigenvalues are exact.
+    """
+    eye = np.eye(L.shape[-1], dtype=complex)
+    spaces = [eye]
+    for Li in L:
+        tol = 1e-9 * np.linalg.norm(Li, 2)
+        split = []
+        for Q in spaces:
+            taken: list[complex] = []
+            for mu in np.linalg.eigvals(Q.conj().T @ Li @ Q):
+                if any(abs(mu - nu) <= tol for nu in taken):
+                    continue
+                taken.append(mu)
+                _, s, vh = np.linalg.svd((Li - mu * eye) @ Q)
+                null = vh[np.count_nonzero(s > tol):].conj().T
+                if null.shape[1]:
+                    split.append(_canonical_basis(Q @ null))
+        spaces = split
+    return spaces
+
+
+def zero_residual_subspaces(model: LindbladModel) -> list[np.ndarray]:
+    """The exact zero-residual set: an orthonormal (d x m) basis per subspace.
+
+    R(psi) = 0 exactly when psi is a simultaneous eigenvector of every jump
+    operator with a nonzero rate, so the zero set is a finite union of
+    joint eigenspaces (Shemesh, Linear Algebra Appl. 62 (1984) 11;
+    Jamiolkowski & Pastuszak, Linear Multilinear Algebra (2015)).  Every
+    state of a returned subspace has zero residual, and no other state has.
+
+    On a diagonal model R = gamma . (|ell|^2 p - |ell p|^2), p = |psi|^2,
+    vanishes exactly when p sits on basis vectors that share one signature
+    ell[:, i] over the nonzero-rate terms.  Each group of such indices is
+    returned as identity columns, in ascending order, and the groups in
+    the order of their smallest index.  Signatures are compared exactly,
+    with no tolerance, since distinct but tiny values (the Gaussian tails
+    of a localisation family) are distinct signatures.
+
+    Any other model takes the joint eigenspaces of its ``_jumps`` stack
+    (``_joint_eigenspaces``), each in its canonical basis.  The columns of
+    a subspace, and the subspaces by their first column, are in ascending
+    order of their rounded gauge-fixed amplitudes (``_amplitude_key``).
+    A model without dissipation returns the whole space.
     """
     jumps = model._diagonal_jumps
-    if jumps is None:
-        return None
-    groups: dict[tuple, list[int]] = {}
-    for i, signature in enumerate(jumps[1].T.tolist()):
-        groups.setdefault(tuple(signature), []).append(i)
-    return list(groups.values())
+    if jumps is not None:
+        groups: dict[tuple, list[int]] = {}
+        for i, signature in enumerate(jumps[1].T.tolist()):
+            groups.setdefault(tuple(signature), []).append(i)
+        eye = np.eye(model.dim, dtype=complex)
+        return [eye[:, group] for group in groups.values()]
+    bases = []
+    for B in _joint_eigenspaces(model._jumps[1]):
+        order = sorted(range(B.shape[1]), key=lambda j: _amplitude_key(B[:, j]))
+        bases.append(B[:, order])
+    return sorted(bases, key=lambda B: _amplitude_key(B[:, 0]))
 
 
-def _zero_set_reports(
-    model: LindbladModel, groups: list[list[int]], gate: float
-) -> list[PpsdReport]:
-    """The consistency report of each basis vector of the exact zero set,
-    group by group; a vector failing the residual gate or not judged
-    stationary raises InvariantViolation rather than being dropped."""
-    horizon = _default_consistency_horizon(model)
-    reports = []
-    for i in [i for group in groups for i in group]:
-        psi = StateVector.basis(model.dim, i)
-        report = consistency_check(model, psi, t_max=horizon, n_steps=40)
-        if not report.residual < gate:
-            raise InvariantViolation(
-                f"basis vector {i}: residual {report.residual:.3e} not below the gate {gate:.3e}"
-            )
-        if not report.is_stationary:
-            raise InvariantViolation(f"basis vector {i} of the zero set is not stationary")
-        reports.append(report)
-    return reports
+def ppsd_search(model: LindbladModel) -> list[PpsdReport]:
+    """The zero-residual pure states of a model, each with its verdict.
 
+    The states are the basis vectors of ``zero_residual_subspaces(model)``,
+    subspace by subspace, so the result depends on the model alone.  Each
+    must have R(psi) below the fixed gate PPSD_RESIDUAL_RTOL *
+    residual_scale(model), and each takes its verdict from
+    ``consistency_check`` and reports R(psi) as its residual.  A vector
+    that fails the gate, or a vector of a diagonal model (whose zero set is
+    made of fixed points) that is not judged stationary, raises
+    InvariantViolation rather than being dropped.  A superposition within
+    a subspace also has zero residual and is not listed; the subspace
+    dimensions say where one exists.
 
-def ppsd_search(model: LindbladModel, config: SearchConfig = SearchConfig()) -> list[PpsdReport]:
-    """Find the zero-residual pure states of a model.
-
-    A diagonal model has an exact answer (``zero_residual_subspaces``): the
-    search reports every basis vector, group by group, each stationary
-    with gap 0, and runs no restart, so neither ``n_restarts`` nor ``seed``
-    changes its result.  A superposition within a group also has zero
-    residual and is not listed; the group sizes say where one exists.
-
-    Any other model is searched on the unit sphere.  Each seeded restart
-    runs two stages:
-
-      1. ``_minimize_on_sphere`` (L-BFGS-B on x = (Re v, Im v)) on R with
-         its analytic Wirtinger gradient K(psi) psi - R psi, to a
-         projected-gradient tolerance of 1e-14 residual_scale(model);
-      2. a mean-field refinement (smallest eigenvector of the mean-field
-         operator K(psi), iterated), which evaluates residual values only.
-
-    Minima with residual below the fixed gate
-    PPSD_RESIDUAL_RTOL * residual_scale(model) are kept, phase-gauge-fixed
-    and deduplicated in (residual, amplitudes) order, so the lowest residual
-    of each cluster stays: any two reported states have pairwise fidelity
-    below SEARCH_DEDUPE_FIDELITY.  They are reported in the lexicographic
-    order of their gauge-fixed amplitudes, rounded to 10 decimals, and not
-    by residual: residuals below about 1e-16 are roundoff.
-
-    Every reported state, exact or sampled, takes its verdict from
-    ``consistency_check``; a sampled hit keeps the search's residual.  An
-    empty list means no pure state can satisfy the purity-preservation
-    condition below the gate -- a meaningful outcome, not a failure.  A
-    model without dissipation returns an empty list too.
+    An empty list means no pure state satisfies the purity-preservation
+    condition -- a meaningful outcome, not a failure.  A model without
+    dissipation returns an empty list too: every state keeps its purity.
     """
     scale = residual_scale(model)
     if scale == 0.0:
-        # No dissipation: every state trivially preserves purity; report the
-        # configuration as "no zero-residual candidates" rather than the
-        # whole sphere.
         return []
     gate = PPSD_RESIDUAL_RTOL * scale
-    groups = zero_residual_subspaces(model)
-    if groups is not None:
-        return _zero_set_reports(model, groups, gate)
+    horizon = _default_consistency_horizon(model)
+    reports = []
+    for basis in zero_residual_subspaces(model):
+        for v in basis.T:
+            psi = StateVector(v)
+            val = ppsd_residual(model, psi)
+            if not val < gate:
+                raise InvariantViolation(
+                    f"zero-set vector {len(reports)}: residual {val:.3e} not below the gate {gate:.3e}"
+                )
+            report = consistency_check(model, psi, t_max=horizon, n_steps=40)
+            if model._diagonal_jumps is not None and not report.is_stationary:
+                raise InvariantViolation(
+                    f"zero-set vector {len(reports)} of a diagonal model is not stationary"
+                )
+            reports.append(replace(report, residual=max(val, 0.0)))
+    return reports
+
+
+def unlisted_hits(
+    model: LindbladModel, subspaces: list[np.ndarray], config: SearchConfig = SearchConfig()
+) -> int | None:
+    """How many sphere-search restarts end on a zero-residual state that
+    ``subspaces`` does not list; None when no restart runs.
+
+    The cross-check of the exact zero set.  It runs on a non-diagonal model
+    with dissipation only: a diagonal model's zero set is exact by
+    construction.  Each seeded restart runs L-BFGS-B (Byrd, Lu, Nocedal &
+    Zhu, SIAM J. Sci. Comput. 16 (1995) 1190) once, on x = (Re v, Im v)
+    for an unnormalized state v, minimizing F(x) = R(v/|v|) with the
+    gradient (2 Re g~, 2 Im g~), where g~ = (g - <u,g> u)/|v| is the
+    Wirtinger gradient g of ``_residual_and_grad`` at u = v/|v| projected
+    onto the sphere's tangent space (Absil, Mahony & Sepulchre,
+    *Optimization Algorithms on Matrix Manifolds*, 2008), to a
+    projected-gradient tolerance of 1e-14 residual_scale(model).  A restart
+    counts when it ends below the gate PPSD_RESIDUAL_RTOL *
+    residual_scale(model) with weight ||Q^dag u||^2 below 1 - 1e-6 in every
+    listed subspace Q: a point of a family the enumeration does not list,
+    such as the near-coherent states of a truncated ladder operator.
+    """
+    scale = residual_scale(model)
+    if model._diagonal_jumps is not None or scale == 0.0:
+        return None
     rates, L = model._jumps
     M = _gram(rates, L)
-    rng = np.random.default_rng(config.seed)
-    starts = rng.standard_normal((config.n_restarts, 2 * model.dim))
+    d = model.dim
 
-    hits = []
+    def fun(x):
+        v = x[:d] + 1j * x[d:]
+        nrm = np.linalg.norm(v)
+        u = v / nrm
+        val, g = _residual_and_grad(rates, L, M, u)
+        g = (g - np.vdot(u, g) * u) / nrm
+        return val, 2.0 * np.concatenate([g.real, g.imag])
+
+    starts = np.random.default_rng(config.seed).standard_normal((config.n_restarts, 2 * d))
+    unlisted = 0
     for x0 in starts:
-        v = _minimize_on_sphere(
-            lambda u: _residual_and_grad(rates, L, M, u), x0, gtol=1e-14 * scale
+        res = minimize(
+            fun, x0, jac=True, method="L-BFGS-B",
+            options=dict(maxiter=SEARCH_MAX_ITERATIONS, gtol=1e-14 * scale, ftol=0.0),
         )
-        val, v = _mean_field_refine(rates, L, M, v)
-        if val < gate:
-            hits.append((val, _gauge_fix(v)))
-
-    def amplitudes(v):
-        return tuple(np.round(v.view(float), 10))
-
-    # Merge in residual order, so each cluster keeps its best point.
-    hits.sort(key=lambda h: (h[0], amplitudes(h[1])))
-    kept: list[tuple[float, np.ndarray]] = []
-    for val, v in hits:
-        if all(abs(np.vdot(v, u)) ** 2 < SEARCH_DEDUPE_FIDELITY for _, u in kept):
-            kept.append((val, v))
-
-    reports = []
-    horizon = _default_consistency_horizon(model)
-    for val, v in kept:
-        psi = StateVector.normalized(_gauge_fix(_stationarity_snap(model, v)))
-        report = consistency_check(model, psi, t_max=horizon, n_steps=40)
-        reports.append(replace(report, residual=max(val, 0.0)))
-    # Report in amplitude order, which residual roundoff cannot reorder.
-    reports.sort(key=lambda r: amplitudes(r.state.amplitudes))
-    return reports
+        u = res.x[:d] + 1j * res.x[d:]
+        u /= np.linalg.norm(u)
+        if res.fun < PPSD_RESIDUAL_RTOL * scale and all(
+            np.linalg.norm(Q.conj().T @ u) ** 2 < 1.0 - 1e-6 for Q in subspaces
+        ):
+            unlisted += 1
+    return unlisted
 
 
 # ---------------------------------------------------------------------------

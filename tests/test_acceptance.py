@@ -23,7 +23,6 @@ from ppsd_lab import (
     DensityMatrix,
     GridSpec,
     ModelSpec,
-    SearchConfig,
     StateVector,
     catalog_model,
     coherent_state,
@@ -120,9 +119,8 @@ def test_criterion_02_position_decoherence_oracle():
 
 def test_criterion_03_thermal_qubit_search_and_roots():
     with criterion(3, "thermal qubit: ground state at N=0, nothing above", 30.0):
-        config = SearchConfig(n_restarts=64, seed=11)
         model0 = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.0}))
-        hits = ppsd_search(model0, config)
+        hits = ppsd_search(model0)
         assert len(hits) == 1
         assert hits[0].is_stationary
         assert hits[0].verdict == "stationary_only"
@@ -132,7 +130,7 @@ def test_criterion_03_thermal_qubit_search_and_roots():
             model = catalog_model(
                 ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": occupation})
             )
-            assert ppsd_search(model, config) == []
+            assert ppsd_search(model) == []
             assert thermal_qubit_ppsd_roots(occupation) == []
             disc = -(occupation**2) - occupation
             assert disc < 0
@@ -160,7 +158,7 @@ def test_criterion_05_squeezed_decay_candidate():
             squeezed_ppsd_state(r, theta),
             squeezed_ppsd_state(r, theta + 2.0 * math.pi),
         ]
-        reports = ppsd_search(model, SearchConfig(n_restarts=64, seed=7))
+        reports = ppsd_search(model)
         assert len(reports) == 2, (
             f"search returned {len(reports)} zero-residual states; exactly the "
             "pair psi(theta), psi(theta + 2 pi) satisfies the condition"

@@ -17,8 +17,8 @@ from ppsd_lab import (
     LindbladTerm,
     ModelSpec,
     Operator,
-    build_liouvillian,
     catalog_model,
+    liouvillian_matrix,
 )
 from ppsd_lab.cli import (
     load_model,
@@ -70,8 +70,8 @@ def test_model_file_round_trip_preserves_liouvillian(tmp_path, spec):
     path = tmp_path / "model.json"
     save_model(model, str(path))
     loaded = load_model(str(path))
-    original = build_liouvillian(model).matrix
-    recovered = build_liouvillian(loaded).matrix
+    original = liouvillian_matrix(model)
+    recovered = liouvillian_matrix(loaded)
     assert np.abs(original - recovered).max() < 1e-15
     assert loaded.basis_note == model.basis_note
     assert loaded.basis == model.basis
@@ -658,6 +658,21 @@ def test_sparse_simulate_at_the_float_limit_exits_two_with_one_line(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_max", ["1e308", "1e300"])
+def test_dense_simulate_past_the_float_limit_fails_with_one_line(capsys, t_max):
+    # the dense step overflows to a NaN trace, which the propagation gate
+    # must refuse before the renormalising divide; the step cache's key
+    # must not overflow either
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "thermal_qubit", "--param", "N=0.3", "--t-max", t_max,
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: trace error nan at t=")
+
+
 def test_search_occupied_thermal_bath_reports_no_states(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -699,19 +714,62 @@ def test_search_phase_damped_finds_all_fock_states(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, zero_set, dims",
+    "argv, dims, unlisted",
     [
-        (("--model", "thermal_qubit", "--restarts", "4"), "sampled", None),
-        (("--model", "walls_collet_milburn", "--dim", "4"), "exact", "1;1;1;1"),
+        (("--model", "thermal_qubit", "--restarts", "4"), "1", "0"),
+        (("--model", "walls_collet_milburn", "--dim", "4"), "1;1;1;1", None),
     ],
-    ids=["sampled", "exact"],
+    ids=["cross_checked", "exact"],
 )
-def test_search_metadata_names_the_zero_set(capsys, argv, zero_set, dims):
+def test_search_metadata_names_the_zero_set(capsys, argv, dims, unlisted):
+    # every model's zero set is exact; only a non-diagonal model runs the
+    # restarts that cross-check it
     code, out, _ = run_cli(capsys, "ppsd-search", *argv)
     assert code == 0
     meta, _, _ = parse_csv(out)
-    assert meta["zero_set"] == zero_set
-    assert meta.get("subspace_dims") == dims
+    assert meta["zero_set"] == "exact"
+    assert meta["subspace_dims"] == dims
+    assert meta.get("unlisted_hits") == unlisted
+
+
+def _search_rows(capsys, argv, restarts, seed):
+    code, out, _ = run_cli(
+        capsys, "ppsd-search", *argv, "--restarts", str(restarts), "--seed", str(seed),
+    )
+    assert code == 0
+    cross_check = ("# restarts=", "# seed=", "# unlisted_hits=")
+    kept = [line for line in out.splitlines() if not line.startswith(cross_check)]
+    return kept, parse_csv(out)[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "three_level_atom", "--param", "N1=0", "--param", "N2=0"),
+        ("--model", "squeezed_vacuum_decay"),
+        ("--model", "multimode"),
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_search_rows_depend_on_the_model_alone(capsys, argv):
+    first, _ = _search_rows(capsys, argv, 1, 0)
+    for restarts, seed in ((16, 3), (160, 9)):
+        assert _search_rows(capsys, argv, restarts, seed)[0] == first
+
+
+def test_search_lists_the_multimode_vacuum_and_flags_its_near_coherent_family(capsys):
+    # the truncated ladder operators have the vacuum as their one joint
+    # eigenvector, while near-coherent states pass the residual gate: the
+    # restarts that end there are counted, never listed
+    code, out, _ = run_cli(capsys, "ppsd-search", "--model", "multimode")
+    assert code == 0
+    meta, header, rows = parse_csv(out)
+    assert len(rows) == 1
+    assert rows[0][header.index("verdict")] == "stationary_only"
+    state = [complex(z) for z in rows[0][header.index("state")].split(";")]
+    assert state == [1.0] + [0.0] * 15
+    assert meta["subspace_dims"] == "1"
+    assert int(meta["unlisted_hits"]) > 0
 
 
 def test_search_returns_every_grid_point_of_a_grw_model(capsys):

@@ -19,7 +19,6 @@ from ppsd_lab import (
     ModelSpec,
     Operator,
     StateVector,
-    build_liouvillian,
     catalog_model,
     coherent_state,
     dephasing_closed_form,
@@ -68,20 +67,30 @@ DESK_MODELS = [
 
 def test_dephasing_liouvillian_eigenvalues():
     model = catalog_model(ModelSpec("dephasing_qubit", {"gamma": 1.0}))
-    eigs = np.sort(np.linalg.eigvals(build_liouvillian(model).matrix).real)
+    eigs = np.sort(np.linalg.eigvals(liouvillian_matrix(model)).real)
     np.testing.assert_allclose(eigs, [-2.0, -2.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_zero_model_gives_zero_generator():
     model = LindbladModel(Operator(np.zeros((2, 2))), (), dim=2)
-    np.testing.assert_allclose(build_liouvillian(model).matrix, np.zeros((4, 4)))
+    np.testing.assert_allclose(liouvillian_matrix(model), np.zeros((4, 4)))
 
 
 def test_trace_functional_is_left_null_vector():
     model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.0}))
-    sup = build_liouvillian(model).matrix
+    sup = liouvillian_matrix(model)
     trace_row = np.eye(2, dtype=complex).reshape(-1) @ sup
     assert np.abs(trace_row).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: s.name)
+def test_generator_preserves_the_trace(spec):
+    # vec(I)^T L = 0: the trace functional is a left null vector of every
+    # catalog generator, within 1e-10 of the entry scale
+    model = catalog_model(spec)
+    sup = liouvillian_matrix(model)
+    trace_row = np.eye(model.dim, dtype=complex).reshape(-1) @ sup
+    assert np.abs(trace_row).max() <= 1e-10 * max(1.0, np.abs(sup).max())
 
 
 def test_matrix_and_action_agree_row_major():

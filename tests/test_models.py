@@ -16,7 +16,6 @@ from ppsd_lab import (
     ModelSpec,
     Operator,
     QuadratureInsufficient,
-    SearchConfig,
     StateVector,
     ThermalParams,
     catalog_model,
@@ -345,7 +344,7 @@ def test_search_hits_contain_the_candidate_across_parameters(r, theta):
     model = catalog_model(
         ModelSpec("squeezed_vacuum_decay", {"gamma0": 1.0, "r": r, "theta": theta})
     )
-    reports = ppsd_search(model, SearchConfig(n_restarts=48, seed=13))
+    reports = ppsd_search(model)
     candidate = squeezed_ppsd_state(r, theta)
     assert max(fidelity(rep.state, candidate) for rep in reports) > 1.0 - 1e-8
 

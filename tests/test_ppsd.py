@@ -33,6 +33,7 @@ from ppsd_lab import (
     ppsd_search,
     residual_scale,
     squeezed_ppsd_state,
+    unlisted_hits,
     unraveling_check,
     variance,
     zero_residual_subspaces,
@@ -41,6 +42,7 @@ from ppsd_lab import ppsd
 from ppsd_lab.cli import main
 from ppsd_lab.errors import DimensionMismatch
 from ppsd_lab.lindblad import liouvillian_norm, stationarity_defect
+from tests_support import DESK_SPECS
 
 DEPHASING = ModelSpec("dephasing_qubit", {"gamma": 1.0})
 
@@ -561,13 +563,13 @@ def test_ppsd_check_decides_stationarity_once(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# sphere search
+# exact zero-residual set and its cross-check
 # ---------------------------------------------------------------------------
 
 
 def test_search_amplitude_damping_finds_only_ground():
     model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.0}))
-    reports = ppsd_search(model, SearchConfig(n_restarts=64, seed=11))
+    reports = ppsd_search(model)
     assert len(reports) == 1
     assert reports[0].is_stationary
     assert reports[0].verdict == "stationary_only"
@@ -577,7 +579,7 @@ def test_search_amplitude_damping_finds_only_ground():
 @pytest.mark.parametrize("N", [0.1, 0.5, 1.0, 2.0])
 def test_search_thermal_qubit_empty_at_positive_occupation(N):
     model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": N}))
-    assert ppsd_search(model, SearchConfig(n_restarts=64, seed=11)) == []
+    assert ppsd_search(model) == []
 
 
 def test_search_squeezed_model_finds_eigenvalue_pair():
@@ -593,7 +595,7 @@ def test_search_squeezed_model_finds_eigenvalue_pair():
     model = catalog_model(
         ModelSpec("squeezed_vacuum_decay", {"gamma0": 1.0, "r": r, "theta": theta})
     )
-    reports = ppsd_search(model, SearchConfig(n_restarts=64, seed=7))
+    reports = ppsd_search(model)
     assert len(reports) == 2
     candidate = squeezed_ppsd_state(r, theta)
     partner = squeezed_ppsd_state(r, theta + 2 * math.pi)
@@ -614,16 +616,12 @@ def test_search_squeezed_model_finds_eigenvalue_pair():
     [(0.1, 0.0), (0.1, 2.0), (0.5, 0.0), (0.5, 2.0), (0.3, 4.0), (0.5, 1.0)],
 )
 def test_search_resolves_squeezed_eigenvalue_modulus(r, theta):
-    """Both hits of the +/- pair reach the modulus sqrt(sinh(2r)/2) to 1e-10.
-
-    This is acceptance criterion 5's bound at 16 restarts.  It needs the
-    mean-field stage to run until successive eigenvectors agree to 1e-14;
-    stopped at 1e-8 it leaves |lambda| off by up to 1.3e-9 on these cases.
-    """
+    """Both rows of the +/- pair reach the modulus sqrt(sinh(2r)/2) to 1e-10,
+    acceptance criterion 5's bound."""
     model = catalog_model(
         ModelSpec("squeezed_vacuum_decay", {"gamma0": 1.0, "r": r, "theta": theta})
     )
-    reports = ppsd_search(model, SearchConfig(n_restarts=16, seed=0))
+    reports = ppsd_search(model)
     assert len(reports) == 2
     for branch in (theta, theta + 2 * math.pi):
         target = squeezed_ppsd_state(r, branch)
@@ -636,15 +634,18 @@ def test_search_resolves_squeezed_eigenvalue_modulus(r, theta):
 
 
 def test_search_deterministic_for_fixed_seed():
+    # the rows on every run, and the cross-check's count for one seed
     model = catalog_model(ModelSpec("squeezed_vacuum_decay", {}))
-    config = SearchConfig(n_restarts=24, seed=5)
-    first = ppsd_search(model, config)
-    second = ppsd_search(model, config)
-    assert len(first) == len(second)
+    first = ppsd_search(model)
+    second = ppsd_search(catalog_model(ModelSpec("squeezed_vacuum_decay", {})))
+    assert len(first) == len(second) == 2
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a.state.amplitudes, b.state.amplitudes)
         assert a.residual == b.residual
         assert a.verdict == b.verdict
+    config = SearchConfig(n_restarts=24, seed=5)
+    subspaces = zero_residual_subspaces(model)
+    assert unlisted_hits(model, subspaces, config) == unlisted_hits(model, subspaces, config)
 
 
 @pytest.mark.parametrize(
@@ -652,35 +653,34 @@ def test_search_deterministic_for_fixed_seed():
     [
         (ModelSpec("squeezed_vacuum_decay", {"r": 0.3, "theta": 1.0}), 16, 5),
         (ModelSpec("three_level_atom", {"N1": 0.0, "N2": 0.0}), 16, 3),
-        (ModelSpec("damped_oscillator", {"N": 0.0, "dim": 6}), 16, 0),
     ],
     ids=lambda p: p.name if isinstance(p, ModelSpec) else str(p),
 )
 def test_search_reports_rows_in_amplitude_order(spec, restarts, seed):
-    # rows follow the rounded gauge-fixed amplitudes, not the residuals,
-    # whose roundoff would reorder them
-    reports = ppsd_search(catalog_model(spec), SearchConfig(n_restarts=restarts, seed=seed))
-    assert len(reports) >= 2
+    # rows follow the rounded gauge-fixed amplitudes, and they are the
+    # whole zero set: no restart of the cross-check ends off it
+    model = catalog_model(spec)
+    reports = ppsd_search(model)
+    assert len(reports) == 2
     keys = [tuple(np.round(r.state.amplitudes.view(float), 10)) for r in reports]
     assert keys == sorted(keys)
+    config = SearchConfig(n_restarts=restarts, seed=seed)
+    assert unlisted_hits(model, zero_residual_subspaces(model), config) == 0
 
 
-def test_search_respects_dedupe_contract():
-    model = catalog_model(ModelSpec("phase_damped_oscillator", {"dim": 6}))
-    config = SearchConfig(n_restarts=96, seed=2)
-    reports = ppsd_search(model, config)
-    assert len(reports) == 6
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            assert (
-                fidelity(reports[i].state, reports[j].state)
-                < ppsd.SEARCH_DEDUPE_FIDELITY
-            )
+def test_search_rows_are_exact_basis_vectors():
+    # the thermal ground state and the three-level N1 = N2 = 0 plane come
+    # out as coordinate vectors, with no amplitude off them at all
+    ground = ppsd_search(catalog_model(ModelSpec("thermal_qubit", {"N": 0.0})))
+    assert [r.state.amplitudes.tolist() for r in ground] == [[0.0, 1.0]]
+    plane = ppsd_search(catalog_model(ModelSpec("three_level_atom", {"N1": 0.0, "N2": 0.0})))
+    assert [r.state.amplitudes.tolist() for r in plane] == [[0, 1, 0], [1, 0, 0]]
+    assert all(r.verdict == "stationary_only" for r in ground + plane)
 
 
 def test_search_nonnegative_residuals_and_report_invariants():
     model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 2.0, "N": 0.0}))
-    for rep in ppsd_search(model, SearchConfig(n_restarts=16, seed=1)):
+    for rep in ppsd_search(model):
         assert rep.residual >= -1e-12
         if rep.verdict == "ppsd_trajectory":
             assert not rep.is_stationary
@@ -697,10 +697,9 @@ def test_search_nonnegative_residuals_and_report_invariants():
     ids=lambda s: s.name,
 )
 def test_search_gradient_stage_matches_central_differences(monkeypatch, spec):
-    # F(x) = R(v/|v|) with x = (Re v, Im v): the search hands minimize its
-    # value and gradient together, and both must match R and its central
-    # differences off the unit sphere as well as on it.  No hit of these
-    # models is near-stationary, so no stationarity snap adds a call.
+    # F(x) = R(v/|v|) with x = (Re v, Im v): each restart of the cross-check
+    # hands minimize its value and gradient together, and both must match
+    # R and its central differences off the unit sphere as well as on it
     calls = []
     minimize = ppsd.minimize
 
@@ -710,7 +709,7 @@ def test_search_gradient_stage_matches_central_differences(monkeypatch, spec):
 
     monkeypatch.setattr(ppsd, "minimize", recording)
     model = catalog_model(spec)
-    ppsd_search(model, SearchConfig(n_restarts=4, seed=3))
+    unlisted_hits(model, zero_residual_subspaces(model), SearchConfig(n_restarts=4, seed=3))
     assert len(calls) == 4
     assert all(kwargs["jac"] is True for _, _, kwargs in calls)
     fun, x0, _ = calls[0]
@@ -746,18 +745,20 @@ def test_diagonal_search_is_the_exact_fixed_point_set(monkeypatch, spec):
 
     monkeypatch.setattr(ppsd, "minimize", refuse)
     reference = hermitian_lindblad_fixed_points(catalog_model(spec))
+    model = catalog_model(spec)
+    reports = ppsd_search(model)
     for seed in (0, 1):
         for restarts in (1, 160):
-            model = catalog_model(spec)
-            reports = ppsd_search(model, SearchConfig(n_restarts=restarts, seed=seed))
-            assert "_jumps" not in model.__dict__
-            assert len(reports) == len(reference)
-            for ref in reference:
-                matches = [r for r in reports if fidelity(r.state, ref) >= 1.0 - 1e-12]
-                assert len(matches) == 1
-            for rep in reports:
-                assert rep.verdict == "stationary_only" and rep.is_stationary
-                assert rep.consistency_gap == 0.0
+            config = SearchConfig(n_restarts=restarts, seed=seed)
+            assert unlisted_hits(model, zero_residual_subspaces(model), config) is None
+    assert "_jumps" not in model.__dict__
+    assert len(reports) == len(reference)
+    for ref in reference:
+        matches = [r for r in reports if fidelity(r.state, ref) >= 1.0 - 1e-12]
+        assert len(matches) == 1
+    for rep in reports:
+        assert rep.verdict == "stationary_only" and rep.is_stationary
+        assert rep.consistency_gap == 0.0
 
 
 def _diagonal_model(*diagonals):
@@ -774,7 +775,9 @@ def test_zero_residual_subspaces_group_equal_signatures_exactly():
     # indices 0 and 2 share (1, 5); 1 and 3 differ from (2, 7) only in the
     # last bit of the first entry, which is a different signature
     model = _diagonal_model([1.0, 2.0, 1.0, 2.0 + 2**-51], [5.0, 7.0, 5.0, 7.0])
-    assert zero_residual_subspaces(model) == [[0, 2], [1], [3]]
+    subspaces = zero_residual_subspaces(model)
+    assert [B.shape for B in subspaces] == [(4, 2), (4, 1), (4, 1)]
+    assert np.array_equal(np.hstack(subspaces), np.eye(4)[:, [0, 2, 1, 3]])
     reports = ppsd_search(model)
     assert [int(np.argmax(np.abs(r.state.amplitudes))) for r in reports] == [0, 2, 1, 3]
     inside = StateVector.normalized([1.0, 0.0, 1.0j, 0.0])
@@ -789,8 +792,11 @@ def test_diagonal_search_raises_rather_than_drops_a_basis_vector(monkeypatch):
         ppsd_search(catalog_model(DEPHASING))
 
 
-def test_zero_residual_subspaces_is_none_off_the_diagonal():
-    assert zero_residual_subspaces(catalog_model(ModelSpec("thermal_qubit", {}))) is None
+def test_search_raises_rather_than_drops_a_vector_above_the_gate(monkeypatch):
+    # with a zero gate, the ground state's exact residual 0 fails it
+    monkeypatch.setattr(ppsd, "PPSD_RESIDUAL_RTOL", 0.0)
+    with pytest.raises(InvariantViolation, match="not below the gate"):
+        ppsd_search(catalog_model(ModelSpec("thermal_qubit", {"N": 0.0})))
 
 
 DIAGONAL_SPECS = (
@@ -819,72 +825,120 @@ def test_diagonal_residual_kernels_match_the_table(spec):
     assert "_jumps" not in model.__dict__
 
 
-def _refuse_minimize(*args, **kwargs):
-    raise AssertionError("the snap ran the sphere minimiser")
+def _projectors(subspaces):
+    return [B @ B.conj().T for B in subspaces]
 
 
-def _snap_entry_defect(model, v):
-    """The snap's entry test quantity: defect of |v><v| over ||L||_F."""
-    return stationarity_defect(model, np.outer(v, v.conj())) / liouvillian_norm(model)
+def _assert_same_subspaces(got, want):
+    # each wanted projector matches exactly one returned one, to 1e-10
+    assert len(got) == len(want)
+    for P in _projectors(want):
+        assert sum(np.linalg.norm(P - Q, 2) <= 1e-10 for Q in _projectors(got)) == 1
 
 
-def test_snap_pulls_a_perturbed_thermal_ground_state_onto_it():
-    model = catalog_model(ModelSpec("thermal_qubit", {"N": 0.0}))
-    v = np.array([1e-4, 1.0], dtype=complex)
-    v /= np.linalg.norm(v)
-    assert 0.0 < _snap_entry_defect(model, v) <= 1e-3
-    snapped = ppsd._stationarity_snap(model, v)
-    assert is_stationary_state(model, snapped)
-    assert abs(snapped[0]) ** 2 <= 1e-20
+@pytest.mark.parametrize(
+    "spec, dims",
+    [
+        (ModelSpec("thermal_qubit", {"N": 0.0}), [1]),
+        (ModelSpec("damped_oscillator", {"N": 0.0, "dim": 10}), [1]),
+        (ModelSpec("three_level_atom", {"N1": 0.0, "N2": 0.0}), [2]),
+        (ModelSpec("multimode", {}), [1]),
+        (ModelSpec("multimode", {"n_modes": 3}), [1]),
+        (ModelSpec("squeezed_vacuum_decay", {}), [1, 1]),
+        (ModelSpec("thermal_qubit", {"N": 0.3}), []),
+        (ModelSpec("damped_oscillator", {"N": 0.3, "dim": 10}), []),
+        (ModelSpec("three_level_atom", {}), []),
+        (ModelSpec("depolarizing", {}), []),
+        (ModelSpec("nonadiabatic_driven", {"dim": 16}), []),
+    ],
+    ids=[
+        "thermal_ground", "oscillator_vacuum", "three_level_plane", "multimode_vacuum",
+        "three_mode_vacuum", "squeezed_pair", "thermal_warm", "oscillator_warm",
+        "three_level", "depolarizing", "nonadiabatic_driven",
+    ],
+)
+def test_zero_residual_subspaces_of_non_diagonal_models(spec, dims):
+    # orthonormal bases of exact joint eigenvectors: the thermal ground
+    # state, the oscillator and multimode vacua, the three-level plane and
+    # the squeezed pair; nothing where every residual is positive
+    model = catalog_model(spec)
+    subspaces = zero_residual_subspaces(model)
+    assert [B.shape[1] for B in subspaces] == dims
+    rates, L = model._jumps
+    for B in subspaces:
+        np.testing.assert_allclose(B.conj().T @ B, np.eye(B.shape[1]), atol=1e-12)
+        for Li in L:
+            # L_i maps the subspace into itself as a multiple of the identity
+            C = B.conj().T @ Li @ B
+            assert np.linalg.norm(Li @ B - B @ C) <= 1e-12 * np.linalg.norm(Li, 2)
+            assert np.linalg.norm(C - C[0, 0] * np.eye(B.shape[1])) <= 1e-12 * np.linalg.norm(Li, 2)
 
 
-def test_snap_pulls_a_perturbed_plane_point_back_into_the_plane():
-    # at N1 = N2 = 0 every state of span{|1>, |2>} is stationary
-    model = catalog_model(ModelSpec("three_level_atom", {"N1": 0.0, "N2": 0.0}))
-    v = np.array([0.6, 0.8 * np.exp(0.3j), 1e-4])
-    v /= np.linalg.norm(v)
-    assert 0.0 < _snap_entry_defect(model, v) <= 1e-3
-    snapped = ppsd._stationarity_snap(model, v)
-    assert is_stationary_state(model, snapped)
-    assert abs(snapped[2]) ** 2 <= 1e-20
-    assert fidelity(snapped, v) >= 1.0 - 1e-6
+def test_zero_residual_subspaces_of_a_dissipation_free_model_are_the_whole_space():
+    model = catalog_model(ModelSpec("squeezed_vacuum_decay", {"gamma0": 0.0}))
+    [B] = zero_residual_subspaces(model)
+    assert np.array_equal(B @ B.conj().T, np.eye(2))
+    assert ppsd_search(model) == []
+    assert unlisted_hits(model, zero_residual_subspaces(model)) is None
 
 
-def test_snap_leaves_a_non_stationary_eigenvector_untouched(monkeypatch):
-    # the squeezed zero-residual state is no fixed point of the generator:
-    # the entry test turns it away before any minimisation
-    monkeypatch.setattr(ppsd, "minimize", _refuse_minimize)
-    model = catalog_model(ModelSpec("squeezed_vacuum_decay", {"r": 0.3, "theta": 1.0}))
-    v = squeezed_ppsd_state(0.3, 1.0).amplitudes
-    assert _snap_entry_defect(model, v) > 1e-3
-    snapped = ppsd._stationarity_snap(model, v)
-    assert snapped is v
-    np.testing.assert_array_equal(snapped, squeezed_ppsd_state(0.3, 1.0).amplitudes)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        s for s in DESK_SPECS
+        if not isinstance(catalog_model(s).basis, GridSpec)
+        and catalog_model(s)._diagonal_jumps is not None
+    ],
+    ids=lambda s: s.name,
+)
+def test_joint_eigenspaces_reproduce_the_signature_groups(spec):
+    # the general routine, run on the jump stack of a diagonal model, finds
+    # the groups of equal signature
+    model = catalog_model(spec)
+    assert model.dim <= 16
+    _assert_same_subspaces(
+        ppsd._joint_eigenspaces(model._jumps[1]), zero_residual_subspaces(model)
+    )
 
 
-def test_snap_fidelity_guard_keeps_a_near_vacuum_coherent_state(monkeypatch):
-    # alpha = 0.01 passes the entry test, but the minimiser carries it to
-    # the vacuum (1 - F ~ 1e-4): the guard returns the candidate
-    minimize, minima = ppsd.minimize, []
+def _rotated(model, U):
+    """The model in the basis U: H -> U H U^dag, L -> U L U^dag."""
+    def turn(op):
+        return Operator(U @ op.matrix @ U.conj().T)
 
-    def recording(fun, x0, **kwargs):
-        res = minimize(fun, x0, **kwargs)
-        minima.append(res.x[:6] + 1j * res.x[6:])
-        return res
+    terms = tuple(LindbladTerm(t.rate, turn(t.op)) for t in model.terms)
+    return LindbladModel(turn(model.hamiltonian), terms, model.dim)
 
-    monkeypatch.setattr(ppsd, "minimize", recording)
-    model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.0, "dim": 6}))
-    v = coherent_state(0.01, 6).amplitudes
-    assert 0.0 < _snap_entry_defect(model, v) <= 1e-3
-    np.testing.assert_array_equal(ppsd._stationarity_snap(model, v), v)
-    assert len(minima) == 1
-    assert fidelity(StateVector.normalized(minima[0]), v) < 1.0 - 1e-6
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec("walls_collet_milburn", {"dim": 6}), ModelSpec("csl", {})],
+    ids=lambda s: s.name,
+)
+def test_search_commutes_with_a_change_of_basis(spec):
+    # a seeded random unitary makes a diagonal model non-diagonal; its zero
+    # set is U times the diagonal groups, with the same verdicts
+    model = catalog_model(spec)
+    rng = np.random.default_rng(model.dim)
+    U, _ = np.linalg.qr(
+        rng.standard_normal((model.dim, model.dim))
+        + 1j * rng.standard_normal((model.dim, model.dim))
+    )
+    rotated = _rotated(model, U)
+    assert rotated._diagonal_jumps is None
+    subspaces = zero_residual_subspaces(rotated)
+    _assert_same_subspaces(subspaces, [U @ B for B in zero_residual_subspaces(model)])
+    reports = ppsd_search(rotated)
+    assert [r.state.amplitudes.tolist() for r in reports] == [
+        v.tolist() for B in subspaces for v in B.T
+    ]
+    assert sorted(r.verdict for r in reports) == sorted(r.verdict for r in ppsd_search(model))
 
 
 def test_search_driven_oscillator_respects_additive_bound():
     params = {"dim": 16, "alpha_kT": 0.5}
     model = catalog_model(ModelSpec("nonadiabatic_driven", params))
-    reports = ppsd_search(model, SearchConfig(n_restarts=8, seed=4))
+    reports = ppsd_search(model)
     assert reports == []  # residual floor is strictly positive
     bound = math.exp(-0.5)
     rng = np.random.default_rng(0)
