@@ -41,7 +41,7 @@ from ppsd_lab import (
 from ppsd_lab import ppsd
 from ppsd_lab.cli import main
 from ppsd_lab.errors import DimensionMismatch
-from ppsd_lab.lindblad import liouvillian_norm, stationarity_defect
+from ppsd_lab.lindblad import liouvillian_norm
 from tests_support import DESK_SPECS
 
 DEPHASING = ModelSpec("dephasing_qubit", {"gamma": 1.0})
