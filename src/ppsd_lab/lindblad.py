@@ -35,8 +35,8 @@ Superoperator norms are Frobenius norms throughout.
 
 A model caches its per-term data and its generator on first use.
 ``_generator`` is the one generator: a sparse CSR array that the dense
-matrix, the action and its adjoint, the norm, the stationarity defect and
-the sparse and Runge-Kutta propagation paths all read.  The nonzero-rate
+matrix, the action, the norm, the stationarity defect and the sparse and
+Runge-Kutta propagation paths all read.  The nonzero-rate
 terms are held in one of two stacked forms.  ``_jumps`` holds rates (k,)
 and the jump operators as one (k, d, d) array; it feeds the generator of a
 non-diagonal model and, in ``ppsd``, every residual, gradient, pure-flow,
@@ -99,7 +99,7 @@ class LindbladTerm:
 
     def __post_init__(self):
         if not np.isfinite(self.rate) or self.rate < 0:
-            raise InvariantViolation(f"rate must be >= 0, got {self.rate}")
+            raise InvariantViolation(f"rate must be finite and >= 0, got {self.rate}")
         if not isinstance(self.op, Operator):
             object.__setattr__(self, "op", Operator(self.op))
 
@@ -301,13 +301,6 @@ def liouvillian_action(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     """Apply the generator to a d x d matrix: one sparse matrix-vector product."""
     d = model.dim
     return (model._generator @ np.asarray(rho, dtype=complex).reshape(d * d)).reshape(d, d)
-
-
-def liouvillian_adjoint_action(model: LindbladModel, x: np.ndarray) -> np.ndarray:
-    """Apply the Frobenius adjoint of the generator (Heisenberg picture)."""
-    d = model.dim
-    vec = np.asarray(x, dtype=complex).reshape(d * d)
-    return np.conj(model._generator.T @ np.conj(vec)).reshape(d, d)
 
 
 def liouvillian_norm(model: LindbladModel) -> float:

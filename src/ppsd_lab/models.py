@@ -49,22 +49,6 @@ from .lindblad import (
 )
 from .ppsd import ppsd_residual
 
-MODEL_NAMES = (
-    "dephasing_qubit",
-    "position_decoherence",
-    "thermal_qubit",
-    "damped_oscillator",
-    "three_level_atom",
-    "multimode",
-    "phase_damped_oscillator",
-    "depolarizing",
-    "squeezed_vacuum_decay",
-    "nonadiabatic_driven",
-    "walls_collet_milburn",
-    "grw",
-    "csl",
-)
-
 
 @dataclass(frozen=True)
 class ThermalParams:
@@ -201,29 +185,36 @@ CATALOG_INFO: dict[str, tuple[dict, str, str]] = {
 }
 
 
+MODEL_NAMES = tuple(CATALOG_INFO)
+
+
 def _resolve_params(name: str, params: dict) -> dict:
+    """The model's defaults overlaid with ``params``, checked once.
+
+    Every value must be finite and the sizes dim, n_modes and mode_dim
+    whole numbers (returned as ints); unknown names are refused.  The
+    errors name the parameter.
+    """
     defaults, _, _ = CATALOG_INFO[name]
+    merged = {**defaults, **params}
+    for key, value in merged.items():
+        whole = key in ("dim", "n_modes", "mode_dim")
+        if not math.isfinite(value) or (whole and value != int(value)):
+            kind = "a finite whole number" if whole else "finite"
+            raise InvariantViolation(f"parameter {key} must be {kind}, got {value}")
+        if whole:
+            merged[key] = int(value)
+    allowed = set(defaults)
     if name == "multimode":
-        merged = dict(defaults)
-        merged.update(params)
-        n_modes = int(merged.get("n_modes", 2))
-        if n_modes < 1 or n_modes > 3:
+        if not 1 <= merged["n_modes"] <= 3:
             raise InvariantViolation("multimode supports 1 to 3 modes")
-        for i in range(1, n_modes + 1):
+        for i in range(1, merged["n_modes"] + 1):
             merged.setdefault(f"gamma_{i}", 1.0)
             merged.setdefault(f"N_{i}", 0.0)
-        allowed = {"n_modes", "mode_dim"} | {
-            f"{k}_{i}" for k in ("gamma", "N") for i in range(1, n_modes + 1)
-        }
-        unknown = set(merged) - allowed
-        if unknown:
-            raise InvariantViolation(f"unknown multimode params: {sorted(unknown)}")
-        return merged
-    unknown = set(params) - set(defaults)
+            allowed |= {f"gamma_{i}", f"N_{i}"}
+    unknown = set(merged) - allowed
     if unknown:
         raise InvariantViolation(f"unknown params for {name}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(params)
     return merged
 
 
@@ -266,18 +257,20 @@ def _grw_localization_terms(grid: GridSpec, lam: float, alpha: float):
 def catalog_model(spec: ModelSpec) -> LindbladModel:
     """Instantiate a catalog model from its spec.
 
-    Hamiltonians default to zero (models are stated in the frame co-rotating
-    with the free evolution) except where the model's physics keeps one:
-    the phase-damped oscillator retains omega0 * N and the damped oscillator
-    optionally omega * adag a.  Each model declares its basis in ``basis``:
-    "qubit" for the four two-level models (excited first, ground second),
-    its GridSpec for the two grid models, and the default "levels" (lowest
-    level first) for the Fock, atomic and occupation models.
-    ``basis_note`` describes the ordering in words.
+    The model's label is its catalog name.  Its Hamiltonian is zero (models
+    are stated in the frame co-rotating with the free evolution) unless the
+    model's branch sets one: the phase-damped oscillator retains
+    omega0 * N and the damped oscillator optionally omega * adag a.  Each
+    model declares its basis in ``basis``: "qubit" for the four two-level
+    models (excited first, ground second), its GridSpec for the two grid
+    models, and the default "levels" (lowest level first) for the Fock,
+    atomic and occupation models.  ``basis_note`` describes the ordering
+    in words.
     """
     name = spec.name
     p = _resolve_params(name, spec.params)
     sx, sy, sz, sp, sm = pauli_operators()
+    h, basis = None, "levels"
 
     def fixed_dim(dim: int) -> int:
         if spec.dim_or_grid not in (None, dim):
@@ -287,7 +280,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
     def fock_dim() -> int:
         if isinstance(spec.dim_or_grid, GridSpec):
             raise DimensionMismatch(f"{name} takes a dimension, not a grid")
-        return int(p["dim"] if spec.dim_or_grid is None else spec.dim_or_grid)
+        return p["dim"] if spec.dim_or_grid is None else int(spec.dim_or_grid)
 
     def grid_spec() -> GridSpec:
         if spec.dim_or_grid is None:
@@ -297,52 +290,32 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         return spec.dim_or_grid
 
     if name == "dephasing_qubit":
-        fixed_dim(2)
-        gamma = _require_rate(p["gamma"], "gamma")
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((2, 2))),
-            terms=(LindbladTerm(gamma, sz),),
-            dim=2,
-            label="dephasing_qubit",
-            basis="qubit",
-            basis_note="basis (|1>, |0>): Z = diag(+1, -1); generator "
-            "gamma (Z rho Z - rho)",
-        )
+        dim, basis = fixed_dim(2), "qubit"
+        terms = [LindbladTerm(_require_rate(p["gamma"], "gamma"), sz)]
+        note = "basis (|1>, |0>): Z = diag(+1, -1); generator gamma (Z rho Z - rho)"
 
-    if name == "position_decoherence":
-        grid = grid_spec()
+    elif name == "position_decoherence":
+        grid = basis = grid_spec()
+        dim = grid.n_points
         gamma = _require_rate(p["gamma"], "gamma")
         # Rate 2*gamma with jump operator x gives the entrywise decay
         # exp(-gamma t (x - x')^2), the convention of position_closed_form.
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((grid.n_points,) * 2)),
-            terms=(LindbladTerm(2.0 * gamma, position_operator(grid)),),
-            dim=grid.n_points,
-            label="position_decoherence",
-            basis=grid,
-            basis_note=f"position grid [{grid.x_min}, {grid.x_max}] with "
-            f"{grid.n_points} points; off-diagonals decay as "
-            "exp(-gamma t (x-x')^2)",
+        terms = [LindbladTerm(2.0 * gamma, position_operator(grid))]
+        note = (
+            f"position grid [{grid.x_min}, {grid.x_max}] with {dim} points; "
+            "off-diagonals decay as exp(-gamma t (x-x')^2)"
         )
 
-    if name == "thermal_qubit":
-        fixed_dim(2)
+    elif name == "thermal_qubit":
+        dim, basis = fixed_dim(2), "qubit"
         tp = ThermalParams(p["gamma0"], p["N"])
         terms = []
         if tp.N > 0:
             terms.append(LindbladTerm(tp.gamma0 * tp.N, sp))
         terms.append(LindbladTerm(tp.gamma0 * (tp.N + 1.0), sm))
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((2, 2))),
-            terms=tuple(terms),
-            dim=2,
-            label="thermal_qubit",
-            basis="qubit",
-            basis_note="basis (|+>, |->): excited first, ground second; "
-            "sigma_minus = |-><+|",
-        )
+        note = "basis (|+>, |->): excited first, ground second; sigma_minus = |-><+|"
 
-    if name == "damped_oscillator":
+    elif name == "damped_oscillator":
         dim = fock_dim()
         tp = ThermalParams(p["gamma0"], p["N"])
         a, a_dag, n_op = fock_operators(dim)
@@ -350,16 +323,10 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         if tp.N > 0:
             terms.append(LindbladTerm(tp.gamma0 * tp.N, a_dag))
         h = Operator(p["omega"] * n_op.matrix)
-        return LindbladModel(
-            hamiltonian=h,
-            terms=tuple(terms),
-            dim=dim,
-            label="damped_oscillator",
-            basis_note=f"Fock basis |0>..|{dim - 1}>",
-        )
+        note = f"Fock basis |0>..|{dim - 1}>"
 
-    if name == "three_level_atom":
-        fixed_dim(3)
+    elif name == "three_level_atom":
+        dim = fixed_dim(3)
         g1 = _require_rate(p["gamma1"], "gamma1")
         g2 = _require_rate(p["gamma2"], "gamma2")
         n1 = _require_rate(p["N1"], "N1")
@@ -376,18 +343,11 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             LindbladTerm(g2 * (n2 + 1.0), sig(2, 3)),
             LindbladTerm(g2 * n2, sig(3, 2)),
         ]
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((3, 3))),
-            terms=tuple(t for t in terms if t.rate > 0),
-            dim=3,
-            label="three_level_atom",
-            basis_note="basis (|1>, |2>, |3>) ascending in energy; "
-            "sigma_ij = |i><j|",
-        )
+        terms = [t for t in terms if t.rate > 0]
+        note = "basis (|1>, |2>, |3>) ascending in energy; sigma_ij = |i><j|"
 
-    if name == "multimode":
-        n_modes = int(p["n_modes"])
-        mode_dim = int(p["mode_dim"])
+    elif name == "multimode":
+        n_modes, mode_dim = p["n_modes"], p["mode_dim"]
         dims = [mode_dim] * n_modes
         dim = fixed_dim(mode_dim**n_modes)
         a1, _, _ = fock_operators(mode_dim)
@@ -398,62 +358,39 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             terms.append(LindbladTerm(tp.gamma0 * (tp.N + 1.0), Operator(ai)))
             if tp.N > 0:
                 terms.append(LindbladTerm(tp.gamma0 * tp.N, Operator(ai.conj().T)))
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((dim, dim))),
-            terms=tuple(terms),
-            dim=dim,
-            label="multimode",
-            basis_note=f"product Fock basis of {n_modes} modes, "
-            f"{mode_dim} levels each",
-        )
+        note = f"product Fock basis of {n_modes} modes, {mode_dim} levels each"
 
-    if name == "phase_damped_oscillator":
+    elif name == "phase_damped_oscillator":
         dim = fock_dim()
         gamma = _require_rate(p["gamma"], "gamma")
         _, _, n_op = fock_operators(dim)
-        return LindbladModel(
-            hamiltonian=Operator(p["omega0"] * n_op.matrix),
-            terms=(LindbladTerm(gamma, n_op),),
-            dim=dim,
-            label="phase_damped_oscillator",
-            basis_note=f"Fock basis |0>..|{dim - 1}>; H = omega0 * N kept",
-        )
+        h = Operator(p["omega0"] * n_op.matrix)
+        terms = [LindbladTerm(gamma, n_op)]
+        note = f"Fock basis |0>..|{dim - 1}>; H = omega0 * N kept"
 
-    if name == "depolarizing":
-        fixed_dim(2)
+    elif name == "depolarizing":
+        dim, basis = fixed_dim(2), "qubit"
         terms = []
         for key, op in (("gamma_x", sx), ("gamma_y", sy), ("gamma_z", sz)):
             rate = _require_rate(p[key], key)
             if rate > 0:
                 terms.append(LindbladTerm(rate, op))
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((2, 2))),
-            terms=tuple(terms),
-            dim=2,
-            label="depolarizing",
-            basis="qubit",
-            basis_note="basis (|+>, |->); generator "
-            "sum_i gamma_i (sigma_i rho sigma_i - rho)",
-        )
+        note = "basis (|+>, |->); generator sum_i gamma_i (sigma_i rho sigma_i - rho)"
 
-    if name == "squeezed_vacuum_decay":
-        fixed_dim(2)
+    elif name == "squeezed_vacuum_decay":
+        dim, basis = fixed_dim(2), "qubit"
         gamma0 = _require_rate(p["gamma0"], "gamma0")
         r, theta = float(p["r"]), float(p["theta"])
         if r < 0:
             raise InvariantViolation("squeeze magnitude r must be >= 0")
         C = math.cosh(r) * sm.matrix + np.exp(1j * theta) * math.sinh(r) * sp.matrix
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((2, 2))),
-            terms=(LindbladTerm(gamma0, Operator(C)),),
-            dim=2,
-            label="squeezed_vacuum_decay",
-            basis="qubit",
-            basis_note="basis (|e>, |g>): excited first, ground second; "
-            "jump operator cosh(r) sigma_minus + exp(i theta) sinh(r) sigma_plus",
+        terms = [LindbladTerm(gamma0, Operator(C))]
+        note = (
+            "basis (|e>, |g>): excited first, ground second; "
+            "jump operator cosh(r) sigma_minus + exp(i theta) sinh(r) sigma_plus"
         )
 
-    if name == "nonadiabatic_driven":
+    elif name == "nonadiabatic_driven":
         dim = fock_dim()
         f_plus, f_minus = nonadiabatic_operators(
             p["m"], p["omega0"], p["kappa"], p["mu"], dim
@@ -462,54 +399,40 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         gamma_t = _require_rate(p["gamma_t"], "gamma_t")
         alpha_kT = _require_rate(p["alpha_kT"], "alpha_kT")
         base = xi_sq * gamma_t
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((dim, dim))),
-            terms=(
-                LindbladTerm(base, f_plus),
-                LindbladTerm(base * math.exp(-alpha_kT), f_minus),
-            ),
-            dim=dim,
-            label="nonadiabatic_driven",
-            basis_note=f"Fock basis |0>..|{dim - 1}>; frozen-time snapshot "
-            "of a driven damped oscillator",
+        terms = [
+            LindbladTerm(base, f_plus),
+            LindbladTerm(base * math.exp(-alpha_kT), f_minus),
+        ]
+        note = (
+            f"Fock basis |0>..|{dim - 1}>; frozen-time snapshot "
+            "of a driven damped oscillator"
         )
 
-    if name == "walls_collet_milburn":
+    elif name == "walls_collet_milburn":
         dim = fock_dim()
         epsilon = float(p["epsilon"])
         gamma = float(p["gamma"])
         if gamma <= 0:
             raise InvariantViolation("meter decay gamma must be > 0")
         _, _, n_op = fock_operators(dim)
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((dim, dim))),
-            terms=(LindbladTerm(epsilon**2 / gamma, n_op),),
-            dim=dim,
-            label="walls_collet_milburn",
-            basis_note=f"Fock basis |0>..|{dim - 1}>; Hermitian jump "
-            "operator N = adag a",
-        )
+        terms = [LindbladTerm(epsilon**2 / gamma, n_op)]
+        note = f"Fock basis |0>..|{dim - 1}>; Hermitian jump operator N = adag a"
 
-    if name == "grw":
-        grid = grid_spec()
+    elif name == "grw":
+        grid = basis = grid_spec()
+        dim = grid.n_points
         lam = _require_rate(p["lam"], "lam")
         alpha = float(p["alpha"])
         if alpha <= 0:
             raise InvariantViolation("alpha must be > 0")
         terms = _grw_localization_terms(grid, lam, alpha)
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((grid.n_points,) * 2)),
-            terms=tuple(terms),
-            dim=grid.n_points,
-            label="grw",
-            basis=grid,
-            basis_note=f"position grid [{grid.x_min}, {grid.x_max}] with "
-            f"{grid.n_points} points; Gaussian localization operators on the "
-            "same grid",
+        note = (
+            f"position grid [{grid.x_min}, {grid.x_max}] with {dim} points; "
+            "Gaussian localization operators on the same grid"
         )
 
-    if name == "csl":
-        fixed_dim(16)
+    elif name == "csl":
+        dim = fixed_dim(16)
         lam = _require_rate(p["lam"], "lam")
         n_single = np.diag([0.0, 1.0]).astype(complex)
         dims = [2, 2, 2, 2]  # 2 sites x 2 modes, occupation 0/1 each
@@ -517,22 +440,25 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             LindbladTerm(lam, Operator(_embed(n_single, mode, dims)))
             for mode in range(4)
         ]
-        return LindbladModel(
-            hamiltonian=Operator(np.zeros((16, 16))),
-            terms=tuple(terms),
-            dim=16,
-            label="csl",
-            basis_note="product occupation basis |n1 n2 n3 n4>, n_i in {0,1}; "
-            "2 sites x 2 modes",
-        )
+        note = "product occupation basis |n1 n2 n3 n4>, n_i in {0,1}; 2 sites x 2 modes"
 
-    raise InvariantViolation(f"unknown model {name!r}")  # pragma: no cover
+    else:  # pragma: no cover
+        raise InvariantViolation(f"unknown model {name!r}")
+
+    return LindbladModel(
+        hamiltonian=Operator(np.zeros((dim, dim))) if h is None else h,
+        terms=tuple(terms),
+        dim=dim,
+        label=name,
+        basis_note=note,
+        basis=basis,
+    )
 
 
 def _require_rate(value, name: str) -> float:
     value = float(value)
-    if value < 0 or not np.isfinite(value):
-        raise InvariantViolation(f"{name} must be a finite non-negative number")
+    if value < 0:
+        raise InvariantViolation(f"{name} must be >= 0, got {value}")
     return value
 
 

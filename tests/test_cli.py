@@ -380,6 +380,47 @@ def test_non_finite_t_max_exits_two(capsys, command, t_max):
     assert err == "error: t-max must be finite and > 0\n"
 
 
+@pytest.mark.parametrize(
+    "model, param",
+    [
+        ("multimode", "n_modes=inf"),
+        ("damped_oscillator", "dim=inf"),
+        ("multimode", "mode_dim=nan"),
+        ("nonadiabatic_driven", "dim=nan"),
+        ("damped_oscillator", "dim=2.7"),
+        ("thermal_qubit", "N=inf"),
+    ],
+)
+def test_non_finite_or_fractional_param_exits_two_naming_it(capsys, model, param):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", model, "--param", param, "--t-max", "1", "--steps", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: parameter {param.split('=')[0]} must be ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--model", "thermal_qubit", "--t-max", "1", "--steps", str(10**18)),
+        ("ppsd-check", "--model", "thermal_qubit", "--state", "plus", "--steps", str(10**18)),
+        ("ppsd-search", "--model", "squeezed_vacuum_decay", "--restarts", str(10**17)),
+        ("simulate", "--model", "damped_oscillator", "--dim", str(10**17), "--t-max", "1"),
+    ],
+    ids=["simulate-steps", "ppsd-check-steps", "ppsd-search-restarts", "simulate-dim"],
+)
+def test_an_allocation_the_machine_refuses_exits_two_with_one_line(capsys, argv):
+    # each size asks numpy for more bytes than a 57-bit address space
+    # holds, so the allocation is refused before any memory is touched
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: out of memory: ")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("grid", ["-inf,5,64", "-1e308,1e308,64", "nan,5,64", "-5,nan,64"])
 @pytest.mark.parametrize("model", ["position_decoherence", "grw"])

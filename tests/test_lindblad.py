@@ -125,26 +125,12 @@ def test_sparse_generator_matches_dense(spec):
     assert liouvillian_norm(model) == pytest.approx(np.linalg.norm(reference), rel=1e-14)
 
 
-@pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: s.name)
-def test_adjoint_action_is_the_frobenius_adjoint(spec):
-    # <L[x], y>_F = <x, L^dag[y]>_F, on diagonal and non-diagonal models
-    model = catalog_model(spec)
-    d = model.dim
-    rng = np.random.default_rng(d)
-    x, y = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
-    lhs = np.vdot(liouvillian_action(model, x), y)
-    rhs = np.vdot(x, lindblad.liouvillian_adjoint_action(model, y))
-    scale = liouvillian_norm(model) * np.linalg.norm(x) * np.linalg.norm(y)
-    assert abs(lhs - rhs) <= 1e-12 * scale
-
-
 def test_generator_kernels_leave_the_dissipator_table_unbuilt():
     # a diagonal model's generator is read from its entrywise coefficients;
     # the jump stack would hold a dense 64 x 64 L for each of the 64 terms
     model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 64)))
     rho = DensityMatrix.maximally_mixed(64).matrix
     liouvillian_action(model, rho)
-    lindblad.liouvillian_adjoint_action(model, rho)
     assert liouvillian_norm(model) > 0
     stationarity_defect(model, rho)
     assert "_generator" in model.__dict__
