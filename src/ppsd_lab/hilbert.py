@@ -34,7 +34,10 @@ COHERENT_LEAKAGE_TOL = 1e-10
 
 
 def _as_complex_matrix(matrix) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
+    return _checked_square(np.array(matrix, dtype=complex))
+
+
+def _checked_square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvariantViolation(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -45,24 +48,27 @@ def _as_complex_matrix(matrix) -> np.ndarray:
 def _hermitian_eigvalsh(herm: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitian matrix herm, in ascending order.
 
-    A matrix with no nonzero imaginary part (-0.0 counts as zero) is real
-    symmetric and goes to the real solver; any other matrix goes to the
-    complex solver.  On one BLAS thread of a 2-core VM the real solver took
-    0.75 / 2.3 / 4.5 ms at d = 128 / 192 / 256, the complex one 1.9 / 4.8 /
-    12.0 ms.
+    A real matrix, or a complex one with no nonzero imaginary part (-0.0
+    counts as zero), is real symmetric and goes to the real solver; any
+    other matrix goes to the complex solver.  On one BLAS thread of a
+    2-core VM the real solver took 0.75 / 2.3 / 4.5 ms at d = 128 / 192 /
+    256, the complex one 1.9 / 4.8 / 12.0 ms.
     """
-    if not herm.imag.any():
-        return np.linalg.eigvalsh(herm.real)
-    return np.linalg.eigvalsh(herm)
+    if np.iscomplexobj(herm) and herm.imag.any():
+        return np.linalg.eigvalsh(herm)
+    return np.linalg.eigvalsh(herm.real)
+
+
+def _float_parts(m: np.ndarray) -> np.ndarray:
+    """The entries of m as a C-ordered float64 array: m itself when real and
+    C-contiguous, the real and imaginary parts interleaved when complex."""
+    return np.ascontiguousarray(m).view(np.float64)
 
 
 def _has_negative_zero(m: np.ndarray) -> bool:
-    """Whether a real or imaginary part of the complex array m is -0.0."""
+    """Whether an entry of m, or a real or imaginary part of one, is -0.0."""
     neg_zero = np.float64(-0.0).view(np.uint64)
-    return bool(
-        np.any(m.real.view(np.uint64) == neg_zero)
-        or np.any(m.imag.view(np.uint64) == neg_zero)
-    )
+    return bool(np.any(_float_parts(m).view(np.uint64) == neg_zero))
 
 
 class Operator:
@@ -177,11 +183,18 @@ class DensityMatrix:
     the positivity check, for callers such as the propagation gate that
     judge ``min_eigenvalue`` against a gate of their own.
 
+    ``matrix`` is a read-only copy that follows its data: float64 input
+    stays float64 (a real symmetric state, such as every grid-model state,
+    then takes half the bytes), and any other input is stored as
+    complex128.  Every check runs in the stored dtype: finite entries,
+    Hermiticity within HERMITICITY_TOL (an exact equality test first, so
+    an exactly Hermitian matrix takes no ``abs``), unit trace and, unless
+    ``eig_tol`` is infinite, positivity.
+
     ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian part
     (rho + rho^dag)/2, computed once at construction and read-only; read it
     instead of diagonalising ``matrix`` again.  A real Hermitian part is
-    diagonalised in real arithmetic (``_hermitian_eigvalsh``); ``matrix``
-    is stored complex either way.
+    diagonalised in real arithmetic (``_hermitian_eigvalsh``).
     """
 
     matrix: np.ndarray
@@ -189,30 +202,34 @@ class DensityMatrix:
     min_eigenvalue: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        mh = m.conj().T
-        herm_defect = np.abs(m - mh).max()
-        if herm_defect > HERMITICITY_TOL:
-            raise InvariantViolation(
-                f"density matrix is not Hermitian (defect {herm_defect:.3e})"
-            )
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvariantViolation(f"density matrix trace {tr!r} is not 1")
+        m = np.array(self.matrix)
+        if m.dtype != np.float64:
+            m = m.astype(complex, copy=False)
+        _checked_square(m)
+        mh = m.conj().T  # m.T itself, no copy, when m is real
         # (m + m^H)/2 is m itself, bit for bit, when m equals m^H entry for
         # entry and holds no -0.0 (which the sum would turn into +0.0).
-        if herm_defect == 0.0 and not _has_negative_zero(m):
-            herm = m
+        if np.array_equal(m, mh):
+            herm = m if not _has_negative_zero(m) else (m + mh) / 2
         else:
+            herm_defect = np.abs(m - mh).max()
+            if herm_defect > HERMITICITY_TOL:
+                raise InvariantViolation(
+                    f"density matrix is not Hermitian (defect {herm_defect:.3e})"
+                )
             herm = (m + mh) / 2
+        tr = m.trace()
+        if abs(tr - 1.0) > TRACE_TOL:
+            # reported as a complex number whatever the dtype
+            raise InvariantViolation(f"density matrix trace {np.complex128(tr)!r} is not 1")
         min_eig = float(_hermitian_eigvalsh(herm).min())
         if min_eig < -abs(self.eig_tol):
             raise InvariantViolation(
                 f"density matrix has eigenvalue {min_eig:.3e} below -{abs(self.eig_tol):.1e}"
             )
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "min_eigenvalue", min_eig)
-        self.matrix.setflags(write=False)
 
     @classmethod
     def from_state(cls, psi: StateVector) -> "DensityMatrix":
@@ -286,9 +303,11 @@ def purity(rho) -> float:
     Lies in (0, 1] for any valid density matrix, with minimum 1/dim at the
     maximally mixed state.
     """
-    m = _density_array(rho)
-    # For Hermitian rho, tr(rho^2) = sum |rho_ij|^2.
-    return float(np.vdot(m, m).real)
+    # For Hermitian rho, tr(rho^2) = sum |rho_ij|^2, summed by numpy's
+    # pairwise reduction: a BLAS dot's summation order follows the thread
+    # count, and the printed purities must not.
+    x = _float_parts(_density_array(rho))
+    return float((x * x).sum())
 
 
 def expectation(op, psi) -> complex:

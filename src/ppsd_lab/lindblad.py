@@ -321,19 +321,21 @@ def stationarity_defect(model: LindbladModel, rho: np.ndarray) -> float:
 def _validated_state(rho: np.ndarray, t: float) -> DensityMatrix:
     """Re-symmetrize and gate-check a propagated state.
 
-    Hermiticity is restored exactly by (rho + rho^dag)/2 and the trace is
-    renormalized to 1; trace error (before renormalization) and negativity
-    beyond PROPAGATION_GATE, or a trace that is not a number, raise
-    IntegrationFailure.  The state is
-    diagonalised once: it is built with its positivity check off
-    (eig_tol=inf) and the gate reads its ``min_eigenvalue``, which is the
-    value the returned state carries.
+    Hermiticity is restored exactly by (rho + rho^dag)/2 in rho's own
+    dtype: ``conj`` of a real array is the array itself, so a real rho
+    takes (rho + rho^T)/2 and its state is stored as float64.  The trace
+    is renormalized to 1; trace error (before renormalization) and
+    negativity beyond PROPAGATION_GATE, or a trace that is not a number,
+    raise IntegrationFailure.  The state is diagonalised once: it is
+    built with its positivity check off (eig_tol=inf) and the gate reads
+    its ``min_eigenvalue``, which is the value the returned state carries.
     """
     sym = (rho + rho.conj().T) / 2
     tr = sym.trace().real
     if not abs(tr - 1.0) <= PROPAGATION_GATE:
         raise IntegrationFailure(f"trace error {abs(tr - 1.0):.3e} at t={t}")
-    state = DensityMatrix(sym / tr, eig_tol=np.inf)
+    sym /= tr
+    state = DensityMatrix(sym, eig_tol=np.inf)
     if state.min_eigenvalue < -PROPAGATION_GATE:
         raise IntegrationFailure(f"negativity {state.min_eigenvalue:.3e} at t={t}")
     return state
@@ -491,9 +493,8 @@ def _propagate_rk(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
     d = model.dim
     sup = model._generator
     t_span = (0.0, float(times[-1]) if times[-1] > 0 else 1e-30)
-    sol = solve_ivp(
-        lambda _t, y: sup @ y, t_span, rho0.reshape(d * d), t_eval=times, **_RK_OPTIONS
-    )
+    y0 = rho0.reshape(d * d).astype(complex)
+    sol = solve_ivp(lambda _t, y: sup @ y, t_span, y0, t_eval=times, **_RK_OPTIONS)
     if not sol.success:
         raise IntegrationFailure(f"adaptive RK failed: {sol.message}")
     return [sol.y[:, k].reshape(d, d) for k in range(sol.y.shape[1])]
@@ -516,7 +517,9 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
     1e-8 invariant gate (_validated_state) as soon as it is formed, and its
     trace error is recorded in the same pass; violations raise
     IntegrationFailure.  On the entrywise path the raw states are formed
-    one at a time, so at most one is alive besides the returned states.
+    one at a time, so at most one is alive besides the returned states, and
+    real raw states (every grid model's) stay real: the trajectory then
+    holds float64 matrices, half the bytes of complex ones.
     Each returned state was diagonalised exactly once, and its
     ``min_eigenvalue`` is the value the gate judged.  The
     trajectory records the path that ran and the trace errors the gate

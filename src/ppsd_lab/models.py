@@ -20,6 +20,7 @@ models whose jump operators are all Hermitian.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -192,8 +193,10 @@ def _resolve_params(name: str, params: dict) -> dict:
     """The model's defaults overlaid with ``params``, checked once.
 
     Every value must be finite and the sizes dim, n_modes and mode_dim
-    whole numbers (returned as ints); unknown names are refused.  The
-    errors name the parameter.
+    whole numbers (returned as ints); unknown names are refused.  A size
+    whose d x d complex128 density matrix would exceed sys.maxsize bytes,
+    the largest array numpy can address, is refused here, before anything
+    is allocated.  The errors name the parameter.
     """
     defaults, _, _ = CATALOG_INFO[name]
     merged = {**defaults, **params}
@@ -212,6 +215,14 @@ def _resolve_params(name: str, params: dict) -> dict:
             merged.setdefault(f"gamma_{i}", 1.0)
             merged.setdefault(f"N_{i}", 0.0)
             allowed |= {f"gamma_{i}", f"N_{i}"}
+    size = "mode_dim" if name == "multimode" else "dim"
+    if size in merged:
+        d = merged[size] ** merged.get("n_modes", 1)
+        if 16 * d * d > sys.maxsize:
+            raise InvariantViolation(
+                f"parameter {size} is too large: {merged[size]:g} makes a density "
+                f"matrix of more than {sys.maxsize} bytes"
+            )
     unknown = set(merged) - allowed
     if unknown:
         raise InvariantViolation(f"unknown params for {name}: {sorted(unknown)}")
@@ -383,7 +394,11 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         r, theta = float(p["r"]), float(p["theta"])
         if r < 0:
             raise InvariantViolation("squeeze magnitude r must be >= 0")
-        C = math.cosh(r) * sm.matrix + np.exp(1j * theta) * math.sinh(r) * sp.matrix
+        try:
+            cosh_r, sinh_r = math.cosh(r), math.sinh(r)
+        except OverflowError:
+            raise InvariantViolation(f"parameter r={r:g} overflows cosh(r)") from None
+        C = cosh_r * sm.matrix + np.exp(1j * theta) * sinh_r * sp.matrix
         terms = [LindbladTerm(gamma0, Operator(C))]
         note = (
             "basis (|e>, |g>): excited first, ground second; "
@@ -414,8 +429,12 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         gamma = float(p["gamma"])
         if gamma <= 0:
             raise InvariantViolation("meter decay gamma must be > 0")
+        try:
+            rate = epsilon**2 / gamma
+        except OverflowError:
+            raise InvariantViolation(f"parameter epsilon={epsilon:g} overflows epsilon^2") from None
         _, _, n_op = fock_operators(dim)
-        terms = [LindbladTerm(epsilon**2 / gamma, n_op)]
+        terms = [LindbladTerm(rate, n_op)]
         note = f"Fock basis |0>..|{dim - 1}>; Hermitian jump operator N = adag a"
 
     elif name == "grw":

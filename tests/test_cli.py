@@ -402,6 +402,32 @@ def test_non_finite_or_fractional_param_exits_two_naming_it(capsys, model, param
 
 
 @pytest.mark.parametrize(
+    "model, param, message",
+    [
+        ("walls_collet_milburn", "epsilon=1e200", "parameter epsilon=1e+200 overflows"),
+        ("squeezed_vacuum_decay", "r=1000", "parameter r=1000 overflows"),
+        ("damped_oscillator", "dim=1e300", "parameter dim is too large"),
+        ("multimode", "mode_dim=1e300", "parameter mode_dim is too large"),
+    ],
+)
+def test_huge_param_exits_two_naming_it_before_allocating(capsys, model, param, message):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", model, "--param", param, "--t-max", "1",
+            "--steps", "2",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {message}")
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("simulate", "--model", "thermal_qubit", "--t-max", "1", "--steps", str(10**18)),

@@ -101,6 +101,58 @@ def test_real_states_reach_the_real_eigenvalue_solver(monkeypatch):
     assert seen == [np.complex128]
 
 
+def test_real_input_stays_float64_and_read_only():
+    rng = np.random.default_rng(8)
+    m = next(_real_states(rng, 5))
+    rho = DensityMatrix(m)
+    assert rho.matrix.dtype == np.float64
+    assert not rho.matrix.flags.writeable
+    assert rho.matrix is not m and rho.matrix.tobytes() == m.tobytes()
+
+
+_HALF = np.diag([0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (_HALF + np.array([[0.0, 2e-12], [0.0, 0.0]]),
+         "density matrix is not Hermitian (defect 2.000e-12)"),
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), "matrix entries must be finite"),
+        (_HALF * (1 + 1e-11), "density matrix trace np.complex128(1.00000000001+0j) is not 1"),
+        (np.diag([1 + 1e-9, -1e-9]), "density matrix has eigenvalue -1.000e-09 below -1.0e-10"),
+    ],
+    ids=["asymmetry", "nan", "trace", "negativity"],
+)
+def test_real_input_raises_the_complex_message(m, message):
+    for x in (m, m.astype(complex)):
+        with pytest.raises(InvariantViolation) as exc:
+            DensityMatrix(x)
+        assert str(exc.value) == message
+
+
+def test_complex_and_integer_input_is_stored_complex():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = a @ a.conj().T
+    m = (m + m.conj().T) / (2 * m.trace().real)
+    for x, expected in ((m, m), (np.asfortranarray(m), m), ([[1, 0], [0, 0]], np.diag([1, 0]))):
+        rho = DensityMatrix(x)
+        assert rho.matrix.dtype == np.complex128 and not rho.matrix.flags.writeable
+        assert rho.matrix.tobytes() == np.array(expected, dtype=complex).tobytes()
+
+
+def test_real_trace_distance_equals_the_complex_path_bit_for_bit():
+    from ppsd_lab import trace_distance
+
+    rng = np.random.default_rng(12)
+    for dim in (2, 9, 64):
+        a, b = (next(_real_states(rng, dim)) for _ in range(2))
+        real = trace_distance(DensityMatrix(a), DensityMatrix(b))
+        complex_path = trace_distance(a.astype(complex), b.astype(complex))
+        assert real.hex() == complex_path.hex()
+
+
 def test_purity_maximally_mixed():
     assert purity(DensityMatrix.maximally_mixed(2)) == pytest.approx(0.5, abs=1e-14)
 

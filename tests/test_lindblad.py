@@ -453,6 +453,22 @@ def test_entrywise_propagation_holds_one_raw_state_at_a_time():
     assert peak - kept < 16 * 2**20
 
 
+def test_real_grid_trajectory_holds_float64_states():
+    # 51 complex 256 x 256 states hold 51 MiB, float64 ones 25.5 MiB
+    grid = GridSpec(-5.0, 5.0, 256)
+    model = catalog_model(ModelSpec("position_decoherence", {}, grid))
+    rho0 = _gaussian_density(grid)
+    tracemalloc.start()
+    try:
+        traj = propagate(model, rho0, np.linspace(0.0, 1.5, 51))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert traj.path == "entrywise"
+    assert all(s.matrix.dtype == np.float64 for s in traj.states)
+    assert kept < 30 * 2**20
+
+
 def _gaussian_density(grid, x0=0.3, sigma=0.7):
     x = grid.points
     return DensityMatrix.from_state(StateVector.normalized(np.exp(-((x - x0) ** 2) / (4 * sigma**2))))
