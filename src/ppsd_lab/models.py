@@ -193,10 +193,8 @@ def _resolve_params(name: str, params: dict) -> dict:
     """The model's defaults overlaid with ``params``, checked once.
 
     Every value must be finite and the sizes dim, n_modes and mode_dim
-    whole numbers (returned as ints); unknown names are refused.  A size
-    whose d x d complex128 density matrix would exceed sys.maxsize bytes,
-    the largest array numpy can address, is refused here, before anything
-    is allocated.  The errors name the parameter.
+    whole numbers (returned as ints); unknown names are refused.  The
+    errors name the parameter.
     """
     defaults, _, _ = CATALOG_INFO[name]
     merged = {**defaults, **params}
@@ -215,14 +213,6 @@ def _resolve_params(name: str, params: dict) -> dict:
             merged.setdefault(f"gamma_{i}", 1.0)
             merged.setdefault(f"N_{i}", 0.0)
             allowed |= {f"gamma_{i}", f"N_{i}"}
-    size = "mode_dim" if name == "multimode" else "dim"
-    if size in merged:
-        d = merged[size] ** merged.get("n_modes", 1)
-        if 16 * d * d > sys.maxsize:
-            raise InvariantViolation(
-                f"parameter {size} is too large: {merged[size]:g} makes a density "
-                f"matrix of more than {sys.maxsize} bytes"
-            )
     unknown = set(merged) - allowed
     if unknown:
         raise InvariantViolation(f"unknown params for {name}: {sorted(unknown)}")
@@ -276,7 +266,9 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
     models (excited first, ground second), its GridSpec for the two grid
     models, and the default "levels" (lowest level first) for the Fock,
     atomic and occupation models.  ``basis_note`` describes the ordering
-    in words.
+    in words.  A dimension (``dim``, ``--dim`` or multimode's
+    ``mode_dim**n_modes``) whose density matrix numpy cannot address
+    raises MemoryError naming the parameter, before anything is allocated.
     """
     name = spec.name
     p = _resolve_params(name, spec.params)
@@ -288,10 +280,20 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             raise DimensionMismatch(f"{name} has dim {dim}, got {spec.dim_or_grid}")
         return dim
 
+    def addressable(dim: int, key: str) -> int:
+        # numpy addresses at most sys.maxsize bytes: refuse before allocating
+        if 16 * dim * dim > sys.maxsize:
+            raise MemoryError(
+                f"parameter {key} is too large: the density matrix would need more "
+                f"than {sys.maxsize} bytes, the most numpy can address"
+            )
+        return dim
+
     def fock_dim() -> int:
         if isinstance(spec.dim_or_grid, GridSpec):
             raise DimensionMismatch(f"{name} takes a dimension, not a grid")
-        return p["dim"] if spec.dim_or_grid is None else int(spec.dim_or_grid)
+        dim = p["dim"] if spec.dim_or_grid is None else int(spec.dim_or_grid)
+        return addressable(dim, "dim")
 
     def grid_spec() -> GridSpec:
         if spec.dim_or_grid is None:
@@ -360,7 +362,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
     elif name == "multimode":
         n_modes, mode_dim = p["n_modes"], p["mode_dim"]
         dims = [mode_dim] * n_modes
-        dim = fixed_dim(mode_dim**n_modes)
+        dim = fixed_dim(addressable(mode_dim**n_modes, "mode_dim"))
         a1, _, _ = fock_operators(mode_dim)
         terms = []
         for i in range(n_modes):

@@ -400,13 +400,10 @@ def consistency_check(
     times = np.linspace(0.0, float(t_max), int(n_steps) + 1)
     pure_path = evolve_pure_nonlinear(model, psi0, times)
     traj = propagate(model, DensityMatrix.from_state(psi0), times)
-    gap = 0.0
-    for p, s in zip(pure_path, traj.states):
-        v = p.amplitudes
-        # against a real state, a real pure path is compared in real arithmetic
-        if not np.iscomplexobj(s.matrix) and not v.imag.any():
-            v = v.real
-        gap = max(gap, trace_distance(np.outer(v, v.conj()), s.matrix))
+    gap = max(
+        trace_distance(np.outer(p.amplitudes, p.amplitudes.conj()), s.matrix)
+        for p, s in zip(pure_path, traj.states)
+    )
     max_resid = max(float(_model_residual(model, p.amplitudes)) for p in pure_path)
     max_impurity = float(np.max(1.0 - traj.purities))
     gate = PPSD_RESIDUAL_RTOL * max(residual_scale(model), 1e-300)

@@ -402,20 +402,24 @@ def test_non_finite_or_fractional_param_exits_two_naming_it(capsys, model, param
 
 
 @pytest.mark.parametrize(
-    "model, param, message",
+    "model, size, message",
     [
         ("walls_collet_milburn", "epsilon=1e200", "parameter epsilon=1e+200 overflows"),
         ("squeezed_vacuum_decay", "r=1000", "parameter r=1000 overflows"),
-        ("damped_oscillator", "dim=1e300", "parameter dim is too large"),
-        ("multimode", "mode_dim=1e300", "parameter mode_dim is too large"),
+        ("damped_oscillator", "dim=1e300", "out of memory: parameter dim is too large"),
+        ("multimode", "mode_dim=1e300", "out of memory: parameter mode_dim is too large"),
+        ("damped_oscillator", str(10**23), "out of memory: parameter dim is too large"),
+        ("damped_oscillator", "n_modes=1e18", "unknown params for damped_oscillator: ['n_modes']"),
+        ("dephasing_qubit", "dim=1e300", "unknown params for dephasing_qubit: ['dim']"),
     ],
 )
-def test_huge_param_exits_two_naming_it_before_allocating(capsys, model, param, message):
+def test_huge_param_exits_two_naming_it_before_allocating(capsys, model, size, message):
+    # a bare number is a --dim override, anything else a --param
+    flag = "--param" if "=" in size else "--dim"
     tracemalloc.start()
     try:
         code, out, err = run_cli(
-            capsys, "simulate", "--model", model, "--param", param, "--t-max", "1",
-            "--steps", "2",
+            capsys, "simulate", "--model", model, flag, size, "--t-max", "1", "--steps", "2",
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
