@@ -46,6 +46,7 @@ from .lindblad import (
     liouvillian_norm,
     null_space_dimension,
     propagate,
+    propagated_states,
     purity_trajectory,
     stationarity_defect,
     stationary_states,

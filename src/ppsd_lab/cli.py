@@ -24,6 +24,10 @@ list of its d diagonal pairs, any other as d x d.  ``basis`` is "qubit",
 "levels" or [x_min, x_max, n_points] for a grid; a file without it is read
 as "qubit" at dim 2 and "levels" otherwise.
 
+simulate builds each row from its own state as ``propagated_states`` forms
+it, so on every exact path it holds one state at a time, whatever
+``--steps``; the rows are written once every state has passed the gate.
+
 Exit codes: 0 success, 2 invalid input, 3 numerical failure during
 propagation, 4 reproduction mismatch.  Output is UTF-8 with LF line endings;
 files are written atomically (temp file + rename).
@@ -52,7 +56,7 @@ from .hilbert import (
     pauli_operators,
     purity,
 )
-from .lindblad import LindbladModel, LindbladTerm, propagate
+from .lindblad import LindbladModel, LindbladTerm, propagate, propagated_states
 from .models import (
     CATALOG_INFO,
     MODEL_NAMES,
@@ -71,6 +75,7 @@ from .models import (
 from .ppsd import (
     PPSD_RESIDUAL_RTOL,
     SearchConfig,
+    _judge_zero_set,
     consistency_check,
     fidelity,
     ppsd_residual,
@@ -408,16 +413,17 @@ def cmd_simulate(args) -> int:
     state = resolve_state(args.state, model)
     rho0 = state if isinstance(state, DensityMatrix) else DensityMatrix.from_state(state)
     times = np.linspace(0.0, args.t_max, args.steps + 1)
-    traj = propagate(model, rho0, times, method=args.method)
+    path, states = propagated_states(model, rho0, times, method=args.method)
     bloch = model.basis == "qubit"
     columns = ["t", "purity", "trace_error", "min_eigenvalue"]
     if bloch:
         columns += ["n_x", "n_y", "n_z"]
     sx, sy, sz, _, _ = pauli_operators()
     rows = []
-    for t, st, pur, tr_err in zip(traj.times, traj.states, traj.purities, traj.trace_errors):
+    # one row per state, built as it arrives: no state outlives the next row
+    for t, (st, tr_err) in zip(times, states):
         m = st.matrix
-        row = [float(t), float(pur), float(tr_err), st.min_eigenvalue]
+        row = [float(t), purity(st), float(tr_err), st.min_eigenvalue]
         if bloch:
             row += [
                 float(np.trace(m @ s).real)
@@ -431,7 +437,7 @@ def cmd_simulate(args) -> int:
             "t_max": args.t_max,
             "steps": args.steps,
             "method": args.method,
-            "path": traj.path,
+            "path": path,
         }
     )
     emit(ResultRecord(meta, tuple(columns), rows), args.format, args.output)
@@ -465,7 +471,7 @@ def cmd_ppsd_search(args) -> int:
     model, meta = resolve_model(args)
     config = SearchConfig(n_restarts=args.restarts, seed=args.seed)
     subspaces = zero_residual_subspaces(model)
-    reports = ppsd_search(model)
+    reports = _judge_zero_set(model, subspaces)
     unlisted = unlisted_hits(model, subspaces, config)
     meta = _base_metadata(meta)
     meta.update({"restarts": args.restarts, "seed": args.seed, "tol": PPSD_RESIDUAL_RTOL})

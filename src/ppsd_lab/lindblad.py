@@ -29,7 +29,9 @@ vec(rho) by truncated Taylor series on the sparse generator (Al-Mohy &
 Higham, SIAM J. Sci. Comput. 33 (2011) 488, Alg. 5.2, with degree
 m = 55, theta_55 = 9.9 and the exact 1-norm; ``_propagate_sparse``),
 which never forms a dim^2 x dim^2 dense array and draws no random
-numbers.
+numbers.  Every exact path forms one state per time, in time order:
+``propagated_states`` gates and yields the states one at a time, and
+``propagate`` collects them into a ``Trajectory``.
 
 Superoperator norms are Frobenius norms throughout.
 
@@ -363,17 +365,18 @@ def _exact_path(model: LindbladModel) -> str:
 
 
 def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
-    """exp(L t) rho0 at every time, along the path ``_exact_path`` names.
+    """Yield exp(L t) rho0 at every time, along the path ``_exact_path`` names.
 
-    Returns the raw states in time order, as an iterable.  The entrywise
-    path yields rho0 * exp(c t) one time at a time, so a caller that
-    consumes each state before taking the next holds one raw state at most.
-    When c and rho0 have no nonzero imaginary part, as on every grid model
-    (H = 0, real diagonal jump operators, real Gaussian amplitudes), it
-    forms the product in real arithmetic, rho0.real * exp(c.real t), and
-    the gate then diagonalises a real symmetric matrix.  The entries agree
-    with the complex expression to roundoff, so grid outputs move only in
-    their last digits.
+    Every path forms one raw state per time, in time order, so a caller
+    that consumes each state before taking the next holds one raw state at
+    most.  The entrywise path yields rho0 * exp(c t).  When c and rho0 have
+    no nonzero imaginary part, as on every grid model (H = 0, real
+    diagonal jump operators, real Gaussian amplitudes), it forms the
+    product in real arithmetic, rho0.real * exp(c.real t), and the gate
+    then diagonalises a real symmetric matrix.  The entries agree with the
+    complex expression to roundoff, so grid outputs move only in their last
+    digits.  The dense path steps vec(rho) by exp(L dt), one cached
+    exponential per distinct step.
     """
     path = _exact_path(model)
     if path == "entrywise":
@@ -381,13 +384,15 @@ def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
         if not c.imag.any() and not rho0.imag.any():
             c, rho0 = c.real, rho0.real
         c_max = float(np.abs(c).max())
-        return (rho0 * np.exp(_entrywise_exponent(c, c_max, t)) for t in times)
+        for t in times:
+            yield rho0 * np.exp(_entrywise_exponent(c, c_max, t))
+        return
     if path == "sparse_expm_multiply":
-        return _propagate_sparse(model, rho0, times)
+        yield from _propagate_sparse(model, rho0, times)
+        return
     d = model.dim
     sup = liouvillian_matrix(model)
     vec = rho0.reshape(d * d)
-    out = []
     step_cache: dict[float, np.ndarray] = {}
     prev_t = 0.0
     for t in times:
@@ -398,8 +403,7 @@ def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
                 step_cache[key] = expm(sup * dt)
             vec = step_cache[key] @ vec
         prev_t = t
-        out.append(vec.reshape(d, d).copy())
-    return out
+        yield vec.reshape(d, d)
 
 
 def _entrywise_exponent(c: np.ndarray, c_max: float, t: float) -> np.ndarray:
@@ -428,8 +432,9 @@ def _propagate_sparse(model: LindbladModel, rho0: np.ndarray, times: np.ndarray)
     each interval takes one scaled step: ceil(h ||A||_1 / theta_55)
     one-point blocks.  The points are summed elementwise, term by term,
     not as one matrix product: a BLAS product's summation order follows
-    the thread count, and the outputs must not.  States are yielded block
-    by block.
+    the thread count, and the outputs must not.  States are yielded one at
+    a time, each a new array: the one term buffer K is reused by every
+    block, and no yielded state aliases it.
     """
     d = model.dim
     n = d * d
@@ -452,41 +457,48 @@ def _propagate_sparse(model: LindbladModel, rho0: np.ndarray, times: np.ndarray)
         per, sub = (q // s, 1) if q > s else (1, max(1, math.ceil(h * norm / _THETA)))
         m = _TAYLOR_DEGREE if h * norm > 0 else 0
         for k0 in range(0, q, per):
-            for _ in range(sub):
-                block = _taylor_block(A, mu, z, h / sub, min(per, q - k0), K[: m + 1])
-                z = block[-1]
-            yield from (v.reshape(d, d) for v in block)
+            for _ in range(sub - 1):
+                (z,) = _taylor_block(A, mu, z, h / sub, 1, K[: m + 1])
+            for z in _taylor_block(A, mu, z, h / sub, min(per, q - k0), K[: m + 1]):
+                yield z.reshape(d, d)
 
 
 def _taylor_block(A, mu: complex, z: np.ndarray, h: float, count: int, K: np.ndarray):
-    """exp(k h (A + mu I)) z for k = 1..count, as a (count, n) array.
+    """Yield exp(k h (A + mu I)) z for k = 1..count, each a new (n,) array.
 
     The terms K[p] = (hA)^p z / p!, p < len(K), are written into K until
     the paper's test holds at k = count: two consecutive terms
     k^p ||K[p]||_inf within 2^-53 of the partial sum.  The partial sum's
     norm is taken only once the test passes on its triangle-inequality
-    bound.  The last row is that partial sum; the others are
-    sum_p k^p K[p], added term by term.
+    bound.  The last point is that partial sum; each earlier point k is
+    formed when it is yielded, as sum_p k^p K[p] added term by term with
+    the block's coefficient vectors ks**p, so only the terms, the last
+    point and count x p real coefficients stay alive across the block.
     """
-    out = np.empty((count, z.size), dtype=complex)
-    out[:] = K[0] = z
+    K[0] = z
+    last = K[0].copy()
     c1 = bound = np.abs(z).max()
     p = 0
     for p in range(1, len(K)):
         np.multiply(A @ K[p - 1], h / p, out=K[p])
         coeff = float(count) ** p
-        out[-1] += coeff * K[p]
+        last += coeff * K[p]
         c2 = coeff * np.abs(K[p]).max()
         bound += c2
-        if c1 + c2 <= _TOL * bound and c1 + c2 <= _TOL * np.abs(out[-1]).max():
+        if c1 + c2 <= _TOL * bound and c1 + c2 <= _TOL * np.abs(last).max():
             break
         c1 = c2
-    if count > 1:
-        ks = np.arange(1.0, count)
-        for j in range(1, p + 1):
-            out[:-1] += (ks**j)[:, None] * K[j]
-    out *= np.exp(np.arange(1.0, count + 1) * h * mu)[:, None]
-    return out
+    phases = np.exp(np.arange(1.0, count + 1) * h * mu)
+    ks = np.arange(1.0, count)
+    powers = [ks**j for j in range(1, p + 1)]
+    for k in range(count - 1):
+        point = K[0].copy()
+        for j, power in enumerate(powers, start=1):
+            point += power[k] * K[j]
+        point *= phases[k]
+        yield point
+    last *= phases[-1]
+    yield last
 
 
 def _propagate_rk(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
@@ -498,6 +510,33 @@ def _propagate_rk(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
     if not sol.success:
         raise IntegrationFailure(f"adaptive RK failed: {sol.message}")
     return [sol.y[:, k].reshape(d, d) for k in range(sol.y.shape[1])]
+
+
+def propagated_states(model: LindbladModel, rho0, times, method: str = "exact_exponential"):
+    """(path, states): the propagation path and an iterator over its states.
+
+    The arguments are checked at the call, before any state is formed.
+    ``states`` yields (state, trace error) per time, in time order: each
+    state passes the invariant gate (_validated_state) as it is formed, and
+    its trace error is |tr rho - 1| before renormalisation, the value the
+    gate judged.  The exact paths form one state at a time, so a caller
+    that drops each state before taking the next holds memory independent
+    of the number of times; "adaptive_rk" integrates every time first.
+    """
+    if method not in ("exact_exponential", "adaptive_rk"):
+        raise InvariantViolation(f"unknown propagation method {method!r}")
+    times = _check_times(times)
+    rho0 = DensityMatrix(rho0).matrix if not isinstance(rho0, DensityMatrix) else rho0.matrix
+    if rho0.shape[0] != model.dim:
+        raise DimensionMismatch(
+            f"state dim {rho0.shape[0]} does not match model dim {model.dim}"
+        )
+    if method == "adaptive_rk":
+        path, raw = "adaptive_rk", _propagate_rk(model, rho0, times)
+    else:
+        path, raw = _exact_path(model), _propagate_exact(model, rho0, times)
+    # the gate's (rho + rho^dag)/2 has the real trace of rho, bit for bit
+    return path, ((_validated_state(r, t), abs(r.trace().real - 1.0)) for r, t in zip(raw, times))
 
 
 def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponential") -> Trajectory:
@@ -513,36 +552,21 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
     (``LindbladModel._generator``);
     the Runge-Kutta right-hand side is one sparse matrix-vector product.
 
-    Every output is re-symmetrized, renormalized and checked against the
-    1e-8 invariant gate (_validated_state) as soon as it is formed, and its
-    trace error is recorded in the same pass; violations raise
-    IntegrationFailure.  On the entrywise path the raw states are formed
-    one at a time, so at most one is alive besides the returned states, and
-    real raw states (every grid model's) stay real: the trajectory then
-    holds float64 matrices, half the bytes of complex ones.
+    The trajectory collects every gated state of ``propagated_states``;
+    violations of the 1e-8 invariant gate raise IntegrationFailure.  On
+    the exact paths at most one raw state is alive besides the returned
+    states, and real raw states (every grid model's) stay real: the
+    trajectory then holds float64 matrices, half the bytes of complex ones.
     Each returned state was diagonalised exactly once, and its
-    ``min_eigenvalue`` is the value the gate judged.  The
-    trajectory records the path that ran and the trace errors the gate
-    judged, from before renormalisation.
+    ``min_eigenvalue`` is the value the gate judged.  The trajectory
+    records the path that ran and the trace errors the gate judged, from
+    before renormalisation.
     """
-    if method not in ("exact_exponential", "adaptive_rk"):
-        raise InvariantViolation(f"unknown propagation method {method!r}")
-    times = _check_times(times)
-    rho0 = DensityMatrix(rho0).matrix if not isinstance(rho0, DensityMatrix) else rho0.matrix
-    if rho0.shape[0] != model.dim:
-        raise DimensionMismatch(
-            f"state dim {rho0.shape[0]} does not match model dim {model.dim}"
-        )
-    if method == "adaptive_rk":
-        path, raw = "adaptive_rk", _propagate_rk(model, rho0, times)
-    else:
-        path, raw = _exact_path(model), _propagate_exact(model, rho0, times)
-    states, trace_errors = [], []
-    for r, t in zip(raw, times):
-        states.append(_validated_state(r, t))
-        # the gate's (rho + rho^dag)/2 has the real trace of rho, bit for bit
-        trace_errors.append(abs(r.trace().real - 1.0))
-    return Trajectory(times=times, states=states, path=path, trace_errors=trace_errors)
+    path, gated = propagated_states(model, rho0, times, method)
+    states, trace_errors = zip(*gated)
+    return Trajectory(
+        times=_check_times(times), states=states, path=path, trace_errors=trace_errors
+    )
 
 
 def purity_trajectory(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:

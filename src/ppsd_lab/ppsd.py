@@ -578,13 +578,19 @@ def ppsd_search(model: LindbladModel) -> list[PpsdReport]:
     condition -- a meaningful outcome, not a failure.  A model without
     dissipation returns an empty list too: every state keeps its purity.
     """
+    return _judge_zero_set(model, zero_residual_subspaces(model))
+
+
+def _judge_zero_set(model: LindbladModel, subspaces: list[np.ndarray]) -> list[PpsdReport]:
+    """``ppsd_search`` on ``subspaces``, the model's zero set already
+    enumerated, so a caller that also needs the subspaces enumerates once."""
     scale = residual_scale(model)
     if scale == 0.0:
         return []
     gate = PPSD_RESIDUAL_RTOL * scale
     horizon = _default_consistency_horizon(model)
     reports = []
-    for basis in zero_residual_subspaces(model):
+    for basis in subspaces:
         for v in basis.T:
             psi = StateVector(v)
             val = ppsd_residual(model, psi)

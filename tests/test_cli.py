@@ -19,6 +19,7 @@ from ppsd_lab import (
     Operator,
     catalog_model,
     liouvillian_matrix,
+    propagate,
 )
 from ppsd_lab.cli import (
     load_model,
@@ -586,20 +587,31 @@ def test_ppsd_check_diagonalises_each_state_once(capsys, monkeypatch):
     assert len(calls) == 1 + 2 * 41
 
 
-def test_simulate_exits_three_on_negativity_beyond_the_gate(capsys, monkeypatch):
+def test_simulate_exits_three_on_negativity_beyond_the_gate(capsys, monkeypatch, tmp_path):
     import ppsd_lab.lindblad as lindblad
 
     c, s = math.cos(0.4), math.sin(0.4)
     u = np.array([[c, -1j * s], [-1j * s, c]])
     bad = u @ np.diag([1 + 5e-8, -5e-8]) @ u.conj().T
-    monkeypatch.setattr(lindblad, "_propagate_exact", lambda _m, _r, times: [bad] * len(times))
-    code, out, err = run_cli(
-        capsys, "simulate", "--model", "thermal_qubit", "--state", "plus",
-        "--t-max", "1", "--steps", "2",
-    )
-    assert code == 3
-    assert out == ""
-    assert err == "numerical failure: negativity -5.000e-08 at t=0.0\n"
+    target = tmp_path / "out.csv"
+    target.write_text("earlier run\n")
+    # the gate fails at the first time, printing nothing, and at the last
+    # time, after every earlier row was built, leaving --output untouched
+    for failing, output in ((0, ()), (2, ("--output", str(target)))):
+
+        def raw(_m, r, times, failing=failing):
+            yield from [r] * failing + [bad] * (len(times) - failing)
+
+        monkeypatch.setattr(lindblad, "_propagate_exact", raw)
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", "thermal_qubit", "--state", "plus",
+            "--t-max", "1", "--steps", "2", *output,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"numerical failure: negativity -5.000e-08 at t={failing / 2}\n"
+    assert target.read_text() == "earlier run\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["out.csv"]
 
 
 @pytest.mark.parametrize(
@@ -621,6 +633,72 @@ def test_simulate_reports_the_propagation_path(capsys, argv, path):
     code, out, _ = run_cli(capsys, *args, "--format", "json")
     assert code == 0
     assert json.loads(out)["metadata"]["path"] == path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "dephasing_qubit", "--t-max", "0.5", "--steps", "4"),
+        ("--model", "thermal_qubit", "--t-max", "0.5", "--steps", "4"),
+        # one 40-point Taylor block after the t = 0 step
+        ("--model", "damped_oscillator", "--dim", "24", "--state", "coherent:0.5,0",
+         "--t-max", "0.05", "--steps", "40"),
+        ("--model", "thermal_qubit", "--method", "adaptive_rk", "--t-max", "0.5", "--steps", "4"),
+    ],
+    ids=["entrywise", "dense_expm", "sparse_expm_multiply", "adaptive_rk"],
+)
+def test_simulate_streams_the_rows_of_the_propagated_trajectory(monkeypatch, argv):
+    import ppsd_lab.cli as cli
+    import ppsd_lab.lindblad as lindblad
+
+    calls, records, blocks = [], [], []
+    stream, taylor_block = cli.propagated_states, lindblad._taylor_block
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return stream(*args, **kwargs)
+
+    def block_spy(A, mu, z, h, count, K):
+        blocks.append(count)
+        return taylor_block(A, mu, z, h, count, K)
+
+    monkeypatch.setattr(cli, "propagated_states", spy)
+    monkeypatch.setattr(lindblad, "_taylor_block", block_spy)
+    monkeypatch.setattr(cli, "emit", lambda record, _fmt, _out: records.append(record))
+    assert main(["simulate", *argv]) == 0
+    if "damped_oscillator" in argv:
+        assert max(blocks) > 1
+    (args, kwargs), = calls
+    traj = propagate(*args, **kwargs)
+    want = list(zip(traj.times.tolist(), traj.purities.tolist(), traj.trace_errors.tolist(),
+                    [s.min_eigenvalue for s in traj.states]))
+    assert [row[:4] for row in records[0].rows] == want
+    assert records[0].metadata["path"] == traj.path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "position_decoherence", "--grid=-5,5,256", "--state", "gaussian:0.3,0.7",
+         "--t-max", "1.5", "--steps", "400"),
+        ("--model", "damped_oscillator", "--param", "N=0.3", "--dim", "40",
+         "--t-max", "0.01", "--steps", "2000"),
+    ],
+    ids=["entrywise_grid", "sparse_one_block"],
+)
+def test_simulate_memory_does_not_grow_with_steps(capsys, argv):
+    # the streamed rows hold no state: at the parent these runs held 401
+    # float64 256 x 256 states (200 MiB) and a (2000, 1600) complex Taylor
+    # block plus its states
+    tracemalloc.start()
+    try:
+        code = main(["simulate", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 16 * 2**20
 
 
 def test_simulate_prints_the_trace_error_the_gate_judged(capsys, monkeypatch):
@@ -801,6 +879,24 @@ def test_search_metadata_names_the_zero_set(capsys, argv, dims, unlisted):
     assert meta["zero_set"] == "exact"
     assert meta["subspace_dims"] == dims
     assert meta.get("unlisted_hits") == unlisted
+
+
+def test_search_enumerates_the_zero_set_once(capsys, monkeypatch):
+    import ppsd_lab.cli as cli
+    import ppsd_lab.ppsd as ppsd
+
+    calls, enumerate_zero_set = [], ppsd.zero_residual_subspaces
+
+    def counted(model):
+        calls.append(model)
+        return enumerate_zero_set(model)
+
+    monkeypatch.setattr(cli, "zero_residual_subspaces", counted)
+    monkeypatch.setattr(ppsd, "zero_residual_subspaces", counted)
+    code, out, _ = run_cli(capsys, "ppsd-search", "--model", "squeezed_vacuum_decay")
+    assert code == 0
+    assert len(parse_csv(out)[2]) == 2
+    assert len(calls) == 1
 
 
 def _search_rows(capsys, argv, restarts, seed):

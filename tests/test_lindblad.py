@@ -411,6 +411,31 @@ def test_sparse_kernel_matches_scipy_expm_multiply(model, monkeypatch):
             assert len(blocks) > times.size and max(blocks) == 1
 
 
+def test_sparse_states_kept_by_the_caller_do_not_change(monkeypatch):
+    # each point of a Taylor block is formed when it is yielded, from the one
+    # term buffer that every later block rewrites; no yielded state may alias
+    # that buffer or an earlier state
+    model = catalog_model(SPARSE_SPECS[0])
+    rho0 = random_density(np.random.default_rng(5), model.dim).matrix
+    taylor_block, blocks, buffers = lindblad._taylor_block, [], []
+
+    def spy(A, mu, z, h, count, K):
+        blocks.append(count)
+        buffers.append(K)
+        return taylor_block(A, mu, z, h, count, K)
+
+    monkeypatch.setattr(lindblad, "_taylor_block", spy)
+    kept, copies = [], []
+    for state in lindblad._propagate_sparse(model, rho0, np.linspace(0.0, 1.5, 101)):
+        kept.append(state)
+        copies.append(state.copy())
+    assert len(kept) == 101 and len(blocks) > 2 and max(blocks) > 1
+    assert all(np.array_equal(k, c) for k, c in zip(kept, copies))
+    # every block writes its terms into slices of one buffer
+    assert not any(np.shares_memory(k, buffers[0]) for k in kept)
+    assert not any(np.shares_memory(a, b) for a, b in zip(kept, kept[1:]))
+
+
 def test_large_non_diagonal_run_stays_exact_and_sparse(monkeypatch):
     # the former d = 80 DOP853 fallback tripped the negativity gate here
     model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.483216, "dim": 80}))
