@@ -62,6 +62,7 @@ from .models import (
     MODEL_NAMES,
     ModelSpec,
     _nonadiabatic_residual_bounds,
+    addressable,
     catalog_model,
     dephasing_closed_form,
     fig3_initial_bloch,
@@ -410,6 +411,7 @@ def cmd_simulate(args) -> int:
     _check_t_max(args.t_max)
     if args.steps < 2:
         raise PpsdLabError("steps must be >= 2")
+    addressable(8 * (args.steps + 1), "--steps")
     state = resolve_state(args.state, model)
     rho0 = state if isinstance(state, DensityMatrix) else DensityMatrix.from_state(state)
     times = np.linspace(0.0, args.t_max, args.steps + 1)
@@ -446,6 +448,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ppsd_check(args) -> int:
     _check_t_max(args.t_max)
+    addressable(8 * (args.steps + 1), "--steps")
     model, meta = resolve_model(args)
     psi = resolve_state(args.state, model, pure_required=True)
     residual = max(ppsd_residual(model, psi), 0.0)
@@ -470,6 +473,7 @@ def _state_repr(psi: StateVector) -> str:
 def cmd_ppsd_search(args) -> int:
     model, meta = resolve_model(args)
     config = SearchConfig(n_restarts=args.restarts, seed=args.seed)
+    addressable(16 * model.dim * args.restarts, "--restarts")
     subspaces = zero_residual_subspaces(model)
     reports = _judge_zero_set(model, subspaces)
     unlisted = unlisted_hits(model, subspaces, config)

@@ -255,6 +255,20 @@ def _grw_localization_terms(grid: GridSpec, lam: float, alpha: float):
     return terms
 
 
+def addressable(n_bytes: int, name: str) -> None:
+    """Refuse an array of ``n_bytes`` that numpy cannot address.
+
+    numpy addresses at most sys.maxsize bytes.  The MemoryError names the
+    parameter or flag that asked for the array, and it is raised before
+    anything is allocated.
+    """
+    if n_bytes > sys.maxsize:
+        raise MemoryError(
+            f"{name} is too large: it would need more than {sys.maxsize} bytes, "
+            "the most numpy can address"
+        )
+
+
 def catalog_model(spec: ModelSpec) -> LindbladModel:
     """Instantiate a catalog model from its spec.
 
@@ -266,9 +280,10 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
     models (excited first, ground second), its GridSpec for the two grid
     models, and the default "levels" (lowest level first) for the Fock,
     atomic and occupation models.  ``basis_note`` describes the ordering
-    in words.  A dimension (``dim``, ``--dim`` or multimode's
-    ``mode_dim**n_modes``) whose density matrix numpy cannot address
-    raises MemoryError naming the parameter, before anything is allocated.
+    in words.  A dimension (``dim``, ``--dim``, multimode's
+    ``mode_dim**n_modes`` or a grid's point count) whose density matrix
+    numpy cannot address raises MemoryError naming the parameter, before
+    anything is allocated (``addressable``).
     """
     name = spec.name
     p = _resolve_params(name, spec.params)
@@ -280,26 +295,19 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
             raise DimensionMismatch(f"{name} has dim {dim}, got {spec.dim_or_grid}")
         return dim
 
-    def addressable(dim: int, key: str) -> int:
-        # numpy addresses at most sys.maxsize bytes: refuse before allocating
-        if 16 * dim * dim > sys.maxsize:
-            raise MemoryError(
-                f"parameter {key} is too large: the density matrix would need more "
-                f"than {sys.maxsize} bytes, the most numpy can address"
-            )
-        return dim
-
     def fock_dim() -> int:
         if isinstance(spec.dim_or_grid, GridSpec):
             raise DimensionMismatch(f"{name} takes a dimension, not a grid")
         dim = p["dim"] if spec.dim_or_grid is None else int(spec.dim_or_grid)
-        return addressable(dim, "dim")
+        addressable(16 * dim * dim, "parameter dim")
+        return dim
 
     def grid_spec() -> GridSpec:
         if spec.dim_or_grid is None:
             return DEFAULT_GRID
         if not isinstance(spec.dim_or_grid, GridSpec):
             raise DimensionMismatch(f"{name} takes a grid, not a dimension")
+        addressable(16 * spec.dim_or_grid.n_points**2, "--grid")
         return spec.dim_or_grid
 
     if name == "dephasing_qubit":
@@ -362,7 +370,9 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
     elif name == "multimode":
         n_modes, mode_dim = p["n_modes"], p["mode_dim"]
         dims = [mode_dim] * n_modes
-        dim = fixed_dim(addressable(mode_dim**n_modes, "mode_dim"))
+        dim = mode_dim**n_modes
+        addressable(16 * dim * dim, "parameter mode_dim")
+        dim = fixed_dim(dim)
         a1, _, _ = fock_operators(mode_dim)
         terms = []
         for i in range(n_modes):

@@ -910,14 +910,29 @@ def _rotated(model, U):
     return LindbladModel(turn(model.hamiltonian), terms, model.dim)
 
 
+def _item_16(spec):
+    # the ladder models list near-copies of their one zero state once rotated
+    return pytest.param(spec, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 16: the rotated zero set has extra subspaces"))
+
+
 @pytest.mark.parametrize(
     "spec",
-    [ModelSpec("walls_collet_milburn", {"dim": 6}), ModelSpec("csl", {})],
+    [
+        ModelSpec("walls_collet_milburn", {"dim": 6}),
+        ModelSpec("csl", {}),
+        ModelSpec("three_level_atom", {"N1": 0.0, "N2": 0.0}),
+        ModelSpec("squeezed_vacuum_decay", {}),
+        _item_16(ModelSpec("damped_oscillator", {"dim": 4})),
+        _item_16(ModelSpec("thermal_qubit", {"N": 0.0})),
+        _item_16(ModelSpec("multimode", {})),
+    ],
     ids=lambda s: s.name,
 )
 def test_search_commutes_with_a_change_of_basis(spec):
-    # a seeded random unitary makes a diagonal model non-diagonal; its zero
-    # set is U times the diagonal groups, with the same verdicts
+    # a seeded random unitary makes a model non-diagonal, or mixes a
+    # non-diagonal one; its zero set is U times the model's, with the same
+    # verdicts
     model = catalog_model(spec)
     rng = np.random.default_rng(model.dim)
     U, _ = np.linalg.qr(
