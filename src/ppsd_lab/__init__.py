@@ -56,7 +56,6 @@ from .models import (
     MODEL_NAMES,
     FeasibilityPoint,
     ModelSpec,
-    ThermalParams,
     catalog_model,
     dephasing_closed_form,
     fig3_initial_bloch,

@@ -471,6 +471,10 @@ def _state_repr(psi: StateVector) -> str:
 
 
 def cmd_ppsd_search(args) -> int:
+    if args.restarts < 1:
+        raise PpsdLabError(f"--restarts must be >= 1, got {args.restarts}")
+    if args.seed < 0:
+        raise PpsdLabError(f"--seed must be >= 0, got {args.seed}")
     model, meta = resolve_model(args)
     config = SearchConfig(n_restarts=args.restarts, seed=args.seed)
     addressable(16 * model.dim * args.restarts, "--restarts")

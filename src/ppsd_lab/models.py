@@ -52,20 +52,6 @@ from .ppsd import ppsd_residual
 
 
 @dataclass(frozen=True)
-class ThermalParams:
-    """Thermal damping parameters: base rate and mean occupation."""
-
-    gamma0: float
-    N: float
-
-    def __post_init__(self):
-        if self.gamma0 <= 0:
-            raise InvariantViolation("gamma0 must be > 0")
-        if self.N < 0:
-            raise InvariantViolation("occupation N must be >= 0")
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """A catalog model name plus its parameters and dimension/grid choice.
 
@@ -188,16 +174,47 @@ CATALOG_INFO: dict[str, tuple[dict, str, str]] = {
 
 MODEL_NAMES = tuple(CATALOG_INFO)
 
+#: How a range is stated in PARAM_RANGES and in a refusal, and its test.
+_RANGE_TESTS = {
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    ">= 2": lambda v: v >= 2,
+    "1, 2 or 3": lambda v: v in (1, 2, 3),
+}
 
-def _resolve_params(name: str, params: dict) -> dict:
-    """The model's defaults overlaid with ``params``, checked once.
+#: name -> {parameter: range}; a parameter not listed takes any finite value.
+PARAM_RANGES: dict[str, dict[str, str]] = {
+    "dephasing_qubit": {"gamma": ">= 0"},
+    "position_decoherence": {"gamma": ">= 0"},
+    "thermal_qubit": {"gamma0": "> 0", "N": ">= 0"},
+    "damped_oscillator": {"gamma0": "> 0", "N": ">= 0", "dim": ">= 2"},
+    "three_level_atom": dict.fromkeys(("gamma1", "gamma2", "N1", "N2"), ">= 0"),
+    "multimode": {"n_modes": "1, 2 or 3", "mode_dim": ">= 2"}
+    | {f"gamma_{i}": "> 0" for i in (1, 2, 3)}
+    | {f"N_{i}": ">= 0" for i in (1, 2, 3)},
+    "phase_damped_oscillator": {"gamma": ">= 0", "dim": ">= 2"},
+    "depolarizing": dict.fromkeys(("gamma_x", "gamma_y", "gamma_z"), ">= 0"),
+    "squeezed_vacuum_decay": {"gamma0": ">= 0", "r": ">= 0"},
+    "nonadiabatic_driven": dict.fromkeys(("m", "omega0", "kappa"), "> 0")
+    | dict.fromkeys(("xi_sq", "gamma_t", "alpha_kT"), ">= 0")
+    | {"dim": ">= 2"},
+    "walls_collet_milburn": {"gamma": "> 0", "dim": ">= 2"},
+    "grw": {"lam": ">= 0", "alpha": "> 0"},
+    "csl": {"lam": ">= 0"},
+}
+
+
+def _resolve_params(spec: ModelSpec) -> dict:
+    """The model's defaults overlaid with ``spec.params``, checked once.
 
     Every value must be finite and the sizes dim, n_modes and mode_dim
-    whole numbers (returned as ints); unknown names are refused.  The
-    errors name the parameter.
+    whole numbers (returned as ints); unknown names are refused.  A
+    ``--dim`` override replaces dim; then each value must lie in its
+    PARAM_RANGES range.  The errors name the parameter.
     """
+    name = spec.name
     defaults, _, _ = CATALOG_INFO[name]
-    merged = {**defaults, **params}
+    merged = {**defaults, **spec.params}
     for key, value in merged.items():
         whole = key in ("dim", "n_modes", "mode_dim")
         if not math.isfinite(value) or (whole and value != int(value)):
@@ -207,15 +224,20 @@ def _resolve_params(name: str, params: dict) -> dict:
             merged[key] = int(value)
     allowed = set(defaults)
     if name == "multimode":
-        if not 1 <= merged["n_modes"] <= 3:
-            raise InvariantViolation("multimode supports 1 to 3 modes")
-        for i in range(1, merged["n_modes"] + 1):
+        for i in range(1, min(merged["n_modes"], 3) + 1):  # n_modes checked below
             merged.setdefault(f"gamma_{i}", 1.0)
             merged.setdefault(f"N_{i}", 0.0)
             allowed |= {f"gamma_{i}", f"N_{i}"}
     unknown = set(merged) - allowed
     if unknown:
         raise InvariantViolation(f"unknown params for {name}: {sorted(unknown)}")
+    if "dim" in merged and not isinstance(spec.dim_or_grid, (GridSpec, type(None))):
+        merged["dim"] = int(spec.dim_or_grid)
+    ranges = PARAM_RANGES[name]
+    for key, value in merged.items():
+        rule = ranges.get(key)
+        if rule and not _RANGE_TESTS[rule](value):
+            raise InvariantViolation(f"parameter {key} must be {rule}, got {value}")
     return merged
 
 
@@ -231,22 +253,23 @@ def _grw_localization_terms(grid: GridSpec, lam: float, alpha: float):
 
     One operator exp(-alpha (x - s)^2 / 2) per grid point s, stored as its
     diagonal, with trapezoid weight lam * sqrt(alpha/pi) * ds folded into
-    the rate.  Completeness (sum of weighted squared operators close to
-    lam) is verified on the central quarter of the grid; failure means the
-    grid cannot resolve the requested localization width.
+    the rate.  Completeness (the squared operators, weighted at unit rate,
+    sum to 1) is verified on the central quarter of the grid at every lam;
+    failure means the grid cannot resolve the requested localization width.
     """
     x = grid.points
     ds = grid.spacing
-    weight = lam * math.sqrt(alpha / math.pi) * ds
+    root = math.sqrt(alpha / math.pi)
+    weight = lam * root * ds
     terms = []
     total_sq = np.zeros_like(x)
     for s in x:
         diag = np.exp(-alpha * (x - s) ** 2 / 2.0)
         terms.append(LindbladTerm(weight, Operator.from_diagonal(diag)))
-        total_sq += weight * diag**2
+        total_sq += diag**2
     n = grid.n_points
     central = slice(3 * n // 8, 5 * n // 8 + 1)
-    defect = float(np.abs(total_sq[central] / lam - 1.0).max())
+    defect = float(np.abs(root * ds * total_sq[central] - 1.0).max())
     if defect > 1e-6:
         raise QuadratureInsufficient(
             f"localization quadrature defect {defect:.3e} on the central "
@@ -286,7 +309,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
     anything is allocated (``addressable``).
     """
     name = spec.name
-    p = _resolve_params(name, spec.params)
+    p = _resolve_params(spec)
     sx, sy, sz, sp, sm = pauli_operators()
     h, basis = None, "levels"
 
@@ -298,9 +321,8 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
     def fock_dim() -> int:
         if isinstance(spec.dim_or_grid, GridSpec):
             raise DimensionMismatch(f"{name} takes a dimension, not a grid")
-        dim = p["dim"] if spec.dim_or_grid is None else int(spec.dim_or_grid)
-        addressable(16 * dim * dim, "parameter dim")
-        return dim
+        addressable(16 * p["dim"] ** 2, "parameter dim")
+        return p["dim"]
 
     def grid_spec() -> GridSpec:
         if spec.dim_or_grid is None:
@@ -312,16 +334,15 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
 
     if name == "dephasing_qubit":
         dim, basis = fixed_dim(2), "qubit"
-        terms = [LindbladTerm(_require_rate(p["gamma"], "gamma"), sz)]
+        terms = [LindbladTerm(p["gamma"], sz)]
         note = "basis (|1>, |0>): Z = diag(+1, -1); generator gamma (Z rho Z - rho)"
 
     elif name == "position_decoherence":
         grid = basis = grid_spec()
         dim = grid.n_points
-        gamma = _require_rate(p["gamma"], "gamma")
         # Rate 2*gamma with jump operator x gives the entrywise decay
         # exp(-gamma t (x - x')^2), the convention of position_closed_form.
-        terms = [LindbladTerm(2.0 * gamma, position_operator(grid))]
+        terms = [LindbladTerm(2.0 * p["gamma"], position_operator(grid))]
         note = (
             f"position grid [{grid.x_min}, {grid.x_max}] with {dim} points; "
             "off-diagonals decay as exp(-gamma t (x-x')^2)"
@@ -329,29 +350,24 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
 
     elif name == "thermal_qubit":
         dim, basis = fixed_dim(2), "qubit"
-        tp = ThermalParams(p["gamma0"], p["N"])
         terms = []
-        if tp.N > 0:
-            terms.append(LindbladTerm(tp.gamma0 * tp.N, sp))
-        terms.append(LindbladTerm(tp.gamma0 * (tp.N + 1.0), sm))
+        if p["N"] > 0:
+            terms.append(LindbladTerm(p["gamma0"] * p["N"], sp))
+        terms.append(LindbladTerm(p["gamma0"] * (p["N"] + 1.0), sm))
         note = "basis (|+>, |->): excited first, ground second; sigma_minus = |-><+|"
 
     elif name == "damped_oscillator":
         dim = fock_dim()
-        tp = ThermalParams(p["gamma0"], p["N"])
         a, a_dag, n_op = fock_operators(dim)
-        terms = [LindbladTerm(tp.gamma0 * (tp.N + 1.0), a)]
-        if tp.N > 0:
-            terms.append(LindbladTerm(tp.gamma0 * tp.N, a_dag))
+        terms = [LindbladTerm(p["gamma0"] * (p["N"] + 1.0), a)]
+        if p["N"] > 0:
+            terms.append(LindbladTerm(p["gamma0"] * p["N"], a_dag))
         h = Operator(p["omega"] * n_op.matrix)
         note = f"Fock basis |0>..|{dim - 1}>"
 
     elif name == "three_level_atom":
         dim = fixed_dim(3)
-        g1 = _require_rate(p["gamma1"], "gamma1")
-        g2 = _require_rate(p["gamma2"], "gamma2")
-        n1 = _require_rate(p["N1"], "N1")
-        n2 = _require_rate(p["N2"], "N2")
+        g1, g2, n1, n2 = p["gamma1"], p["gamma2"], p["N1"], p["N2"]
 
         def sig(i, j):
             m = np.zeros((3, 3), dtype=complex)
@@ -376,42 +392,36 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         a1, _, _ = fock_operators(mode_dim)
         terms = []
         for i in range(n_modes):
-            tp = ThermalParams(p[f"gamma_{i + 1}"], p[f"N_{i + 1}"])
+            gamma0, n = p[f"gamma_{i + 1}"], p[f"N_{i + 1}"]
             ai = _embed(a1.matrix, i, dims)
-            terms.append(LindbladTerm(tp.gamma0 * (tp.N + 1.0), Operator(ai)))
-            if tp.N > 0:
-                terms.append(LindbladTerm(tp.gamma0 * tp.N, Operator(ai.conj().T)))
+            terms.append(LindbladTerm(gamma0 * (n + 1.0), Operator(ai)))
+            if n > 0:
+                terms.append(LindbladTerm(gamma0 * n, Operator(ai.conj().T)))
         note = f"product Fock basis of {n_modes} modes, {mode_dim} levels each"
 
     elif name == "phase_damped_oscillator":
         dim = fock_dim()
-        gamma = _require_rate(p["gamma"], "gamma")
         _, _, n_op = fock_operators(dim)
         h = Operator(p["omega0"] * n_op.matrix)
-        terms = [LindbladTerm(gamma, n_op)]
+        terms = [LindbladTerm(p["gamma"], n_op)]
         note = f"Fock basis |0>..|{dim - 1}>; H = omega0 * N kept"
 
     elif name == "depolarizing":
         dim, basis = fixed_dim(2), "qubit"
         terms = []
         for key, op in (("gamma_x", sx), ("gamma_y", sy), ("gamma_z", sz)):
-            rate = _require_rate(p[key], key)
-            if rate > 0:
-                terms.append(LindbladTerm(rate, op))
+            if p[key] > 0:
+                terms.append(LindbladTerm(p[key], op))
         note = "basis (|+>, |->); generator sum_i gamma_i (sigma_i rho sigma_i - rho)"
 
     elif name == "squeezed_vacuum_decay":
         dim, basis = fixed_dim(2), "qubit"
-        gamma0 = _require_rate(p["gamma0"], "gamma0")
-        r, theta = float(p["r"]), float(p["theta"])
-        if r < 0:
-            raise InvariantViolation("squeeze magnitude r must be >= 0")
         try:
-            cosh_r, sinh_r = math.cosh(r), math.sinh(r)
+            cosh_r, sinh_r = math.cosh(p["r"]), math.sinh(p["r"])
         except OverflowError:
-            raise InvariantViolation(f"parameter r={r:g} overflows cosh(r)") from None
-        C = cosh_r * sm.matrix + np.exp(1j * theta) * sinh_r * sp.matrix
-        terms = [LindbladTerm(gamma0, Operator(C))]
+            raise InvariantViolation(f"parameter r={p['r']:g} overflows cosh(r)") from None
+        C = cosh_r * sm.matrix + np.exp(1j * p["theta"]) * sinh_r * sp.matrix
+        terms = [LindbladTerm(p["gamma0"], Operator(C))]
         note = (
             "basis (|e>, |g>): excited first, ground second; "
             "jump operator cosh(r) sigma_minus + exp(i theta) sinh(r) sigma_plus"
@@ -422,13 +432,10 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         f_plus, f_minus = nonadiabatic_operators(
             p["m"], p["omega0"], p["kappa"], p["mu"], dim
         )
-        xi_sq = _require_rate(p["xi_sq"], "xi_sq")
-        gamma_t = _require_rate(p["gamma_t"], "gamma_t")
-        alpha_kT = _require_rate(p["alpha_kT"], "alpha_kT")
-        base = xi_sq * gamma_t
+        base = p["xi_sq"] * p["gamma_t"]
         terms = [
             LindbladTerm(base, f_plus),
-            LindbladTerm(base * math.exp(-alpha_kT), f_minus),
+            LindbladTerm(base * math.exp(-p["alpha_kT"]), f_minus),
         ]
         note = (
             f"Fock basis |0>..|{dim - 1}>; frozen-time snapshot "
@@ -437,12 +444,9 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
 
     elif name == "walls_collet_milburn":
         dim = fock_dim()
-        epsilon = float(p["epsilon"])
-        gamma = float(p["gamma"])
-        if gamma <= 0:
-            raise InvariantViolation("meter decay gamma must be > 0")
+        epsilon = p["epsilon"]
         try:
-            rate = epsilon**2 / gamma
+            rate = epsilon**2 / p["gamma"]
         except OverflowError:
             raise InvariantViolation(f"parameter epsilon={epsilon:g} overflows epsilon^2") from None
         _, _, n_op = fock_operators(dim)
@@ -452,11 +456,7 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
     elif name == "grw":
         grid = basis = grid_spec()
         dim = grid.n_points
-        lam = _require_rate(p["lam"], "lam")
-        alpha = float(p["alpha"])
-        if alpha <= 0:
-            raise InvariantViolation("alpha must be > 0")
-        terms = _grw_localization_terms(grid, lam, alpha)
+        terms = _grw_localization_terms(grid, p["lam"], p["alpha"])
         note = (
             f"position grid [{grid.x_min}, {grid.x_max}] with {dim} points; "
             "Gaussian localization operators on the same grid"
@@ -464,11 +464,10 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
 
     elif name == "csl":
         dim = fixed_dim(16)
-        lam = _require_rate(p["lam"], "lam")
         n_single = np.diag([0.0, 1.0]).astype(complex)
         dims = [2, 2, 2, 2]  # 2 sites x 2 modes, occupation 0/1 each
         terms = [
-            LindbladTerm(lam, Operator(_embed(n_single, mode, dims)))
+            LindbladTerm(p["lam"], Operator(_embed(n_single, mode, dims)))
             for mode in range(4)
         ]
         note = "product occupation basis |n1 n2 n3 n4>, n_i in {0,1}; 2 sites x 2 modes"
@@ -484,13 +483,6 @@ def catalog_model(spec: ModelSpec) -> LindbladModel:
         basis_note=note,
         basis=basis,
     )
-
-
-def _require_rate(value, name: str) -> float:
-    value = float(value)
-    if value < 0:
-        raise InvariantViolation(f"{name} must be >= 0, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +782,9 @@ def _nonadiabatic_residual_bounds(params: dict, states) -> tuple[list[float], fl
     The checks and the error are those of nonadiabatic_residual_bound,
     applied to each state in order.
     """
-    model = catalog_model(ModelSpec("nonadiabatic_driven", params))
-    p = _resolve_params("nonadiabatic_driven", params)
+    spec = ModelSpec("nonadiabatic_driven", params)
+    model = catalog_model(spec)
+    p = _resolve_params(spec)
     bound = (
         p["xi_sq"]
         * p["gamma_t"]

@@ -309,10 +309,11 @@ def evolve_pure_nonlinear(
 
     The flow is integrated in its norm-preserving gauge (a scalar counterterm
     cancels the analytic norm decay without altering the ray) by one DOP853
-    solve at rtol 1e-10, its step capped at times[-1] / 10, whose dense
-    output gives every time point, normalised as it is stored.  The norm
-    drift between output points, |norm(y_k) / norm(y_k-1) - 1|, is recorded;
-    above 1e-3, or 1e-6 per unit time, it raises NormBlowUp.
+    solve at rtol 1e-10, its step capped at times[-1] / 10 (or times[-1] if
+    that underflows to 0), whose dense output gives every time point,
+    normalised as it is stored.  The norm drift between output points,
+    |norm(y_k) / norm(y_k-1) - 1|, is recorded; above 1e-3, or 1e-6 per
+    unit time, it raises NormBlowUp.
     """
     v = _model_state(model, psi0)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -323,7 +324,7 @@ def evolve_pure_nonlinear(
     if t_eval[-1] > 0:
         sol = solve_ivp(
             _pure_flow_rhs(model), (0.0, t_eval[-1]), ys[:, 0], t_eval=t_eval,
-            max_step=t_eval[-1] / 10, **_RK_OPTIONS,
+            max_step=t_eval[-1] / 10 or t_eval[-1], **_RK_OPTIONS,
         )
         if not sol.success:
             raise NormBlowUp(f"pure-state integration failed: {sol.message}")
@@ -664,7 +665,7 @@ def unlisted_hits(
 # ---------------------------------------------------------------------------
 
 
-def _central_difference(values: list[np.ndarray], times: np.ndarray, j: int) -> np.ndarray:
+def _central_difference(values, times: np.ndarray, j: int) -> np.ndarray:
     """Three-point first derivative at interior index j (non-uniform safe)."""
     h1 = times[j] - times[j - 1]
     h2 = times[j + 1] - times[j]
@@ -714,7 +715,7 @@ def unraveling_check(model: LindbladModel, weights, trajectories, times) -> floa
         lhs = liouvillian_action(model, mix)
         rhs = np.zeros_like(mix)
         for k in range(p.shape[0]):
-            pdot = _central_difference([np.array(p[k, i]) for i in range(times.size)], times, j)
+            pdot = _central_difference(p[k], times, j)
             proj_dot = _central_difference(projectors[k], times, j)
             rhs += float(pdot) * projectors[k][j] + p[k, j] * proj_dot
         worst = max(worst, float(np.abs(lhs - rhs).max()))

@@ -386,16 +386,29 @@ def test_non_finite_t_max_exits_two(capsys, command, t_max):
         ("nonadiabatic_driven", "dim=nan"),
         ("damped_oscillator", "dim=2.7"),
         ("thermal_qubit", "N=inf"),
+        ("thermal_qubit", "N=-1"),
+        ("thermal_qubit", "gamma0=0"),
+        ("multimode", "n_modes=4"),
+        ("multimode", "mode_dim=1"),
+        ("damped_oscillator", "dim=1"),
+        ("damped_oscillator", "1"),
+        ("grw", "alpha=0"),
+        ("walls_collet_milburn", "gamma=0"),
+        ("nonadiabatic_driven", "m=0"),
+        ("squeezed_vacuum_decay", "r=-0.5"),
+        ("three_level_atom", "N1=-1"),
     ],
 )
 def test_non_finite_or_fractional_param_exits_two_naming_it(capsys, model, param):
+    # a bare number is a --dim override, anything else a --param
+    flag, name = ("--param", param.split("=")[0]) if "=" in param else ("--dim", "dim")
     code, out, err = run_cli(
-        capsys, "simulate", "--model", model, "--param", param, "--t-max", "1", "--steps", "2",
+        capsys, "simulate", "--model", model, flag, param, "--t-max", "1", "--steps", "2",
     )
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: parameter {param.split('=')[0]} must be ")
+    assert err.startswith(f"error: parameter {name} must be ")
 
 
 @pytest.mark.parametrize(
@@ -799,8 +812,32 @@ def test_long_horizon_dephasing_check_exits_quietly(capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ("--model", "thermal_qubit", "--param", "N=0.3", "--state", "plus"),
+        ("--model", "damped_oscillator", "--param", "N=0.3", "--dim", "24",
+         "--state", "coherent:1"),
+        ("--model", "dephasing_qubit", "--state", "plus"),
+        ("--model", "grw", "--grid=-5,5,16", "--state", "gaussian:0.5,0.7"),
+    ],
+    ids=lambda flags: flags[1],
+)
+def test_smallest_positive_horizon_check_exits_zero(capsys, flags):
+    # t_max / 10 underflows to 0, which DOP853 refuses as a step cap
+    code, out, err = run_cli(capsys, "ppsd-check", *flags, "--t-max", "5e-324")
+    assert (code, err) == (0, "")
+    _, header, rows = parse_csv(out)
+    assert rows[0][header.index("verdict")] == "no_ppsd"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
     "argv",
     [
+        pytest.param(
+            ("--model", "grw", "--param", "lam=0", "--t-max", "1", "--steps", "2"),
+            id="grw-lam0",
+        ),
         pytest.param(
             ("--model", "squeezed_vacuum_decay", "--param", "r=12", "--t-max", "1",
              "--steps", "2"),
@@ -1028,11 +1065,21 @@ def test_grid_commands_stay_within_a_memory_bound(capsys, argv):
     assert peak < 64 * 2**20
 
 
-def test_search_invalid_flags_exit_two(capsys):
-    code, _, _ = run_cli(
-        capsys, "ppsd-search", "--model", "dephasing_qubit", "--restarts", "0"
-    )
+@pytest.mark.parametrize(
+    "model, flag, value",
+    [
+        ("dephasing_qubit", "--restarts", "0"),
+        ("thermal_qubit", "--seed", "-1"),
+        ("csl", "--seed", "-1"),
+    ],
+    ids=["dephasing-restarts-0", "thermal-seed-minus-1", "csl-seed-minus-1"],
+)
+def test_search_invalid_flags_exit_two(capsys, model, flag, value):
+    code, out, err = run_cli(capsys, "ppsd-search", "--model", model, flag, value)
     assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {flag} must be ")
 
 
 # ---------------------------------------------------------------------------

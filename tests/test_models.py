@@ -17,7 +17,6 @@ from ppsd_lab import (
     Operator,
     QuadratureInsufficient,
     StateVector,
-    ThermalParams,
     catalog_model,
     dephasing_closed_form,
     fidelity,
@@ -97,10 +96,10 @@ def test_unknown_model_and_params_rejected():
 
 
 def test_thermal_params_invariants():
-    with pytest.raises(InvariantViolation):
-        ThermalParams(0.0, 0.0)
-    with pytest.raises(InvariantViolation):
-        ThermalParams(1.0, -1.0)
+    with pytest.raises(InvariantViolation, match="parameter gamma0 must be > 0"):
+        catalog_model(ModelSpec("thermal_qubit", {"gamma0": 0.0}))
+    with pytest.raises(InvariantViolation, match="parameter N must be >= 0"):
+        catalog_model(ModelSpec("thermal_qubit", {"N": -1.0}))
 
 
 def test_grw_quadrature_guard_trips_on_coarse_grid():
