@@ -35,7 +35,6 @@ from ppsd_lab import (
     position_closed_form,
     ppsd_residual,
     propagate,
-    purity_trajectory,
 )
 
 
@@ -50,14 +49,13 @@ def main() -> int:
     plus = StateVector.normalized([1.0, 1.0])
     times = np.linspace(0.0, 2.0, 9)
     traj = propagate(model, DensityMatrix.from_state(plus), times)
-    t_out, purities = purity_trajectory(traj)
     print("  t      purity        closed form")
-    for t, p in zip(t_out, purities):
+    for t, p in zip(traj.times, traj.purities):
         closed = 0.5 * (1.0 + np.exp(-4.0 * gamma * t))
         print(f"  {t:4.2f}   {p:.9f}   {closed:.9f}")
         if abs(p - closed) > 1e-10:
             failures.append(f"dephasing purity mismatch at t={t}")
-    if np.diff(purities).max() > 1e-12:
+    if np.diff(traj.purities).max() > 1e-12:
         failures.append("dephasing purity should never increase")
 
     # pointer states: eigenstates of the monitored observable stay put
@@ -74,7 +72,7 @@ def main() -> int:
         np.abs(
             s.matrix - dephasing_closed_form(rho0, gamma, t).matrix
         ).max()
-        for t, s in zip(t_out, traj.states)
+        for t, s in zip(traj.times, traj.states)
     )
     print(f"  max entrywise deviation from the decay law: {worst:.2e}")
     if worst > 1e-9:

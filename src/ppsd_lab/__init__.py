@@ -47,7 +47,6 @@ from .lindblad import (
     null_space_dimension,
     propagate,
     propagated_states,
-    purity_trajectory,
     stationarity_defect,
     stationary_states,
 )

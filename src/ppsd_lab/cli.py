@@ -407,11 +407,11 @@ def _base_metadata(extra: dict) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    model, meta = resolve_model(args)
     _check_t_max(args.t_max)
     if args.steps < 2:
-        raise PpsdLabError("steps must be >= 2")
+        raise PpsdLabError(f"--steps must be >= 2, got {args.steps}")
     addressable(8 * (args.steps + 1), "--steps")
+    model, meta = resolve_model(args)
     state = resolve_state(args.state, model)
     rho0 = state if isinstance(state, DensityMatrix) else DensityMatrix.from_state(state)
     times = np.linspace(0.0, args.t_max, args.steps + 1)
@@ -448,6 +448,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_ppsd_check(args) -> int:
     _check_t_max(args.t_max)
+    if args.steps < 1:
+        raise PpsdLabError(f"--steps must be >= 1, got {args.steps}")
     addressable(8 * (args.steps + 1), "--steps")
     model, meta = resolve_model(args)
     psi = resolve_state(args.state, model, pure_required=True)

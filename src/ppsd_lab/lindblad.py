@@ -35,23 +35,25 @@ numbers.  Every exact path forms one state per time, in time order:
 
 Superoperator norms are Frobenius norms throughout.
 
-A model caches its per-term data and its generator on first use.
-``_generator`` is the one generator: a sparse CSR array that the dense
-matrix, the action, the norm, the stationarity defect and the sparse and
-Runge-Kutta propagation paths all read.  The nonzero-rate
-terms are held in one of two stacked forms.  ``_jumps`` holds rates (k,)
-and the jump operators as one (k, d, d) array; it feeds the generator of a
-non-diagonal model and, in ``ppsd``, every residual, gradient, pure-flow,
-joint-eigenspace and search kernel of such a model, each written once as
-array expressions over the stack.  When H and every L are diagonal,
-``_diagonal_jumps`` holds rates (k,) and diagonals (k, d); the entrywise
-coefficients (``_diagonal_coefficients``, one matrix product), which are
-also the diagonal generator, and, in ``ppsd``, the pure-flow RHS, the
-residual and its terms, its scale, the effective Hamiltonian and the exact
-zero-residual set read it.  Grid operators are stored as their diagonals
-(``Operator.from_diagonal``), so a diagonal grid model is built,
-propagates, is checked and is searched without forming a d x d array per
-term.
+A model caches its per-term data and one superoperator on first use.
+``_generator`` is that superoperator, and the dense matrix, the action,
+the norm, the stationarity defect and every propagation path read it.  A
+model whose H and L are all diagonal acts entrywise, d rho_ij/dt =
+c_ij rho_ij, and stores vec(c) as the one diagonal of a sparse DIA array,
+which holds no index arrays; the entrywise path reads c back as a view of
+it.  Any other model stores the Kronecker sum as a sparse CSR array.  The
+nonzero-rate terms are held in one of two stacked forms.  ``_jumps`` holds
+rates (k,) and the jump operators as one (k, d, d) array; it feeds the
+generator of a non-diagonal model and, in ``ppsd``, every residual,
+gradient, pure-flow, joint-eigenspace and search kernel of such a model,
+each written once as array expressions over the stack.  When H and every L
+are diagonal, ``_diagonal_jumps`` holds rates (k,) and diagonals (k, d);
+the diagonal generator (one matrix product) and, in ``ppsd``, the
+pure-flow RHS, the residual and its terms, its scale, the effective
+Hamiltonian and the exact zero-residual set read it.  Grid operators are
+stored as their diagonals (``Operator.from_diagonal``), so a diagonal grid
+model is built, propagates, is checked and is searched without forming a
+d x d array per term.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ DENSE_GENERATOR_MAX_DIM = 16
 
 #: Invariant gate applied to every propagated state (trace error, negativity).
 PROPAGATION_GATE = 1e-8
+
+#: Relative tolerance of the stationary structure: a singular value of the
+#: generator below NULL_SPACE_RTOL * ||L||_2, or a defect of I/d below
+#: NULL_SPACE_RTOL * ||L||_F, counts as zero.
+NULL_SPACE_RTOL = 1e-10
 
 #: Sparse-path Taylor degree m and its scaling bound theta_m (Al-Mohy &
 #: Higham 2011, Table 3.1), and the stopping test's tolerance, 2^-53.
@@ -181,7 +188,7 @@ class LindbladModel:
         model order.  The predicate covers H and every term, zero-rate terms
         included, and is each operator's ``Operator.diagonal``: an operator
         built from its diagonal is read as stored, so a grid model forms no
-        d x d array per term here.  The entrywise coefficients, the
+        d x d array per term here.  The diagonal generator, the
         pure-flow RHS, the residual and its terms, its scale, the effective
         Hamiltonian and the exact zero set of a diagonal model read this
         form instead of the dense ``_jumps`` stack.
@@ -197,46 +204,35 @@ class LindbladModel:
         return rates, ell
 
     @cached_property
-    def _diagonal_coefficients(self) -> np.ndarray | None:
-        """Entrywise generator coefficients when H and every L are diagonal.
+    def _generator(self) -> sparse.dia_array | sparse.csr_array:
+        """The generator as a sparse array under row-major vectorization.
 
-        Dephasing-type models act entrywise on rho:
-        d rho_ij/dt = c_ij rho_ij with
+        The one superoperator the model stores, and the one every generator
+        kernel reads.  A diagonal model (``_diagonal_jumps``) acts entrywise
+        on rho, d rho_ij/dt = c_ij rho_ij with
 
             c = -i (h_i - h_j) + (gamma ell)^T conj(ell) - (b_i + b_j)/2,
 
-        b = gamma . |ell|^2, formed from ``_diagonal_jumps`` with one
-        matrix product.  Holds the (d, d) array c, or None when the model
-        has off-diagonal operator content.  The populations are constants
-        of motion, so c_ii is set to exactly 0: the formula leaves roundoff
-        there (up to 1.4e-14), which exp(c t) amplifies to overflow at long
-        horizons.
+        b = gamma . |ell|^2, formed with one matrix product and never reading
+        ``_jumps``.  vec(c) is held as the single diagonal of a DIA array,
+        which stores no index arrays: ``_generator.data.reshape(d, d)`` is c,
+        a view.  The populations are constants of motion, so c_ii is set to
+        exactly 0: the formula leaves roundoff there (up to 1.4e-14), which
+        exp(c t) amplifies to overflow at long horizons.  Any other model
+        holds the Kronecker sum of the module docstring over the ``_jumps``
+        stack as a CSR array.
         """
         jumps = self._diagonal_jumps
-        if jumps is None:
-            return None
-        rates, ell = jumps
-        h = self.hamiltonian.diagonal
-        b = rates @ (np.abs(ell) ** 2)
-        c = (rates[:, None] * ell).T @ ell.conj()
-        c += -1j * np.subtract.outer(h, h) - 0.5 * np.add.outer(b, b)
-        np.fill_diagonal(c, 0.0)
-        c.setflags(write=False)
-        return c
-
-    @cached_property
-    def _generator(self) -> sparse.csr_array:
-        """The generator as a sparse CSR array under row-major vectorization.
-
-        The one representation every generator kernel reads.  A diagonal
-        model holds vec(c) from ``_diagonal_coefficients`` on its diagonal
-        and never reads ``_jumps``; any other model holds the Kronecker sum
-        of the module docstring over the ``_jumps`` stack.
-        """
-        n = self.dim**2
-        c = self._diagonal_coefficients
-        if c is not None:
-            return sparse.csr_array((c.reshape(n), np.arange(n), np.arange(n + 1)), shape=(n, n))
+        if jumps is not None:
+            rates, ell = jumps
+            h = self.hamiltonian.diagonal
+            b = rates @ (np.abs(ell) ** 2)
+            c = (rates[:, None] * ell).T @ ell.conj()
+            c += -1j * np.subtract.outer(h, h) - 0.5 * np.add.outer(b, b)
+            np.fill_diagonal(c, 0.0)
+            c.setflags(write=False)
+            n = self.dim**2
+            return sparse.dia_array((c.reshape(1, n), [0]), shape=(n, n))
         eye = sparse.identity(self.dim, dtype=complex, format="csr")
         h = sparse.csr_array(self.hamiltonian.matrix)
         sup = -1j * (sparse.kron(h, eye, format="csr") - sparse.kron(eye, h.T, format="csr"))
@@ -265,9 +261,9 @@ class Trajectory:
 
     times: np.ndarray
     states: tuple[DensityMatrix, ...]
-    purities: np.ndarray = field(default=None)
     path: str | None = None
     trace_errors: np.ndarray | None = None
+    purities: np.ndarray = field(init=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -275,14 +271,7 @@ class Trajectory:
         object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) != times.shape[0]:
             raise InvariantViolation("times and states must have equal length")
-        if self.purities is None:
-            object.__setattr__(
-                self, "purities", np.array([purity(s) for s in self.states])
-            )
-        else:
-            object.__setattr__(self, "purities", np.asarray(self.purities, dtype=float))
-        if self.purities.shape[0] != times.shape[0]:
-            raise InvariantViolation("times and purities must have equal length")
+        object.__setattr__(self, "purities", np.array([purity(s) for s in self.states]))
         if self.trace_errors is not None:
             object.__setattr__(self, "trace_errors", np.asarray(self.trace_errors, dtype=float))
             if self.trace_errors.shape[0] != times.shape[0]:
@@ -320,8 +309,8 @@ def stationarity_defect(model: LindbladModel, rho: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _validated_state(rho: np.ndarray, t: float) -> DensityMatrix:
-    """Re-symmetrize and gate-check a propagated state.
+def _validated_state(rho: np.ndarray, t: float) -> tuple[DensityMatrix, float]:
+    """Re-symmetrize and gate-check a propagated state: (state, trace error).
 
     Hermiticity is restored exactly by (rho + rho^dag)/2 in rho's own
     dtype: ``conj`` of a real array is the array itself, so a real rho
@@ -331,16 +320,18 @@ def _validated_state(rho: np.ndarray, t: float) -> DensityMatrix:
     raise IntegrationFailure.  The state is diagonalised once: it is
     built with its positivity check off (eig_tol=inf) and the gate reads
     its ``min_eigenvalue``, which is the value the returned state carries.
+    The trace error returned is |tr rho - 1|, the value the gate judged.
     """
     sym = (rho + rho.conj().T) / 2
     tr = sym.trace().real
-    if not abs(tr - 1.0) <= PROPAGATION_GATE:
-        raise IntegrationFailure(f"trace error {abs(tr - 1.0):.3e} at t={t}")
+    trace_error = abs(tr - 1.0)
+    if not trace_error <= PROPAGATION_GATE:
+        raise IntegrationFailure(f"trace error {trace_error:.3e} at t={t}")
     sym /= tr
     state = DensityMatrix(sym, eig_tol=np.inf)
     if state.min_eigenvalue < -PROPAGATION_GATE:
         raise IntegrationFailure(f"negativity {state.min_eigenvalue:.3e} at t={t}")
-    return state
+    return state, trace_error
 
 
 def _check_times(times) -> np.ndarray:
@@ -357,7 +348,7 @@ def _check_times(times) -> np.ndarray:
 def _exact_path(model: LindbladModel) -> str:
     """The exact propagation path the model takes: "entrywise",
     "dense_expm" or "sparse_expm_multiply"."""
-    if model._diagonal_coefficients is not None:
+    if model._diagonal_jumps is not None:
         return "entrywise"
     if model.dim > DENSE_GENERATOR_MAX_DIM:
         return "sparse_expm_multiply"
@@ -369,7 +360,8 @@ def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
 
     Every path forms one raw state per time, in time order, so a caller
     that consumes each state before taking the next holds one raw state at
-    most.  The entrywise path yields rho0 * exp(c t).  When c and rho0 have
+    most.  The entrywise path yields rho0 * exp(c t), c read as a view of
+    the diagonal generator.  When c and rho0 have
     no nonzero imaginary part, as on every grid model (H = 0, real
     diagonal jump operators, real Gaussian amplitudes), it forms the
     product in real arithmetic, rho0.real * exp(c.real t), and the gate
@@ -380,7 +372,7 @@ def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
     """
     path = _exact_path(model)
     if path == "entrywise":
-        c = model._diagonal_coefficients
+        c = model._generator.data.reshape(model.dim, model.dim)
         if not c.imag.any() and not rho0.imag.any():
             c, rho0 = c.real, rho0.real
         c_max = float(np.abs(c).max())
@@ -535,8 +527,7 @@ def propagated_states(model: LindbladModel, rho0, times, method: str = "exact_ex
         path, raw = "adaptive_rk", _propagate_rk(model, rho0, times)
     else:
         path, raw = _exact_path(model), _propagate_exact(model, rho0, times)
-    # the gate's (rho + rho^dag)/2 has the real trace of rho, bit for bit
-    return path, ((_validated_state(r, t), abs(r.trace().real - 1.0)) for r, t in zip(raw, times))
+    return path, (_validated_state(r, t) for r, t in zip(raw, times))
 
 
 def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponential") -> Trajectory:
@@ -547,9 +538,8 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
     entrywise for diagonal models, a dense matrix exponential of the
     generator for other models up to DENSE_GENERATOR_MAX_DIM, and above it
     the Taylor kernel of ``_propagate_sparse`` on the sparse generator,
-    one leg for a uniform grid, one per interval otherwise.  The dense,
-    sparse and Runge-Kutta paths read the model's one cached generator
-    (``LindbladModel._generator``);
+    one leg for a uniform grid, one per interval otherwise.  Every path
+    reads the model's one cached generator (``LindbladModel._generator``);
     the Runge-Kutta right-hand side is one sparse matrix-vector product.
 
     The trajectory collects every gated state of ``propagated_states``;
@@ -567,11 +557,6 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
     return Trajectory(
         times=_check_times(times), states=states, path=path, trace_errors=trace_errors
     )
-
-
-def purity_trajectory(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """(times, purities) of a trajectory."""
-    return traj.times, traj.purities
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +583,16 @@ def _hermitian_null_basis(null_vectors: np.ndarray, dim: int) -> list[np.ndarray
     return basis
 
 
-def stationary_states(model: LindbladModel, tol: float = 1e-10) -> list[DensityMatrix]:
+def stationary_states(model: LindbladModel) -> list[DensityMatrix]:
     """Density-matrix representatives of the generator's null space.
 
     Singular vectors of the generator with singular value below
-    tol * ||L||_2 span the stationary subspace; they are recombined into
-    Hermitian matrices and converted, where possible, to positive unit-trace
-    representatives (trace-normalized elements plus positive/negative
-    eigenparts).  Every returned state rho satisfies
-    ||L vec(rho)|| < tol * ||L||.  An empty list is returned, with a warning,
-    only if no representative passes the checks.
+    NULL_SPACE_RTOL * ||L||_2 span the stationary subspace; they are
+    recombined into Hermitian matrices and converted, where possible, to
+    positive unit-trace representatives (trace-normalized elements plus
+    positive/negative eigenparts).  Every returned state rho satisfies
+    ||L vec(rho)|| < NULL_SPACE_RTOL * ||L||.  An empty list is returned,
+    with a warning, only if no representative passes the checks.
     """
     d = model.dim
     sup = liouvillian_matrix(model)
@@ -615,7 +600,7 @@ def stationary_states(model: LindbladModel, tol: float = 1e-10) -> list[DensityM
     norm2 = float(s[0])
     if norm2 == 0.0:
         return [DensityMatrix.maximally_mixed(d)]
-    null_mask = s < tol * norm2
+    null_mask = s < NULL_SPACE_RTOL * norm2
     if not np.any(null_mask):
         warnings.warn("no numerical null space detected for the generator")
         return []
@@ -627,7 +612,7 @@ def stationary_states(model: LindbladModel, tol: float = 1e-10) -> list[DensityM
         if abs(tr) < 1e-10:
             return None
         rho = (mat + mat.conj().T) / (2 * tr)
-        if np.linalg.norm(sup @ rho.reshape(d * d)) > tol * norm2 * max(1.0, np.linalg.norm(rho)):
+        if np.linalg.norm(sup @ rho.reshape(d * d)) > NULL_SPACE_RTOL * norm2 * max(1.0, np.linalg.norm(rho)):
             return None
         state = DensityMatrix(rho, eig_tol=np.inf)
         return state if state.min_eigenvalue >= -1e-10 else None
@@ -650,19 +635,19 @@ def stationary_states(model: LindbladModel, tol: float = 1e-10) -> list[DensityM
     return found
 
 
-def null_space_dimension(model: LindbladModel, tol: float = 1e-10) -> int:
-    """Number of singular values of the generator below tol * ||L||_2."""
+def null_space_dimension(model: LindbladModel) -> int:
+    """Number of singular values of the generator below NULL_SPACE_RTOL * ||L||_2."""
     svals = np.linalg.svd(liouvillian_matrix(model), compute_uv=False)
     if svals[0] == 0.0:
         return model.dim**2
-    return int(np.sum(svals < tol * svals[0]))
+    return int(np.sum(svals < NULL_SPACE_RTOL * svals[0]))
 
 
-def is_unital(model: LindbladModel, tol: float = 1e-10) -> bool:
+def is_unital(model: LindbladModel) -> bool:
     """Whether the generator annihilates the maximally mixed state I/d."""
     d = model.dim
     norm = liouvillian_norm(model)
     if norm == 0.0:
         return True
     defect = stationarity_defect(model, np.eye(d, dtype=complex) / d)
-    return bool(defect < tol * norm)
+    return bool(defect < NULL_SPACE_RTOL * norm)

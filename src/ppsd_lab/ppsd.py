@@ -110,6 +110,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.n_restarts < 1:
             raise InvariantViolation("n_restarts must be positive")
+        if self.seed < 0:
+            raise InvariantViolation(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

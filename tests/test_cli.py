@@ -1082,6 +1082,21 @@ def test_search_invalid_flags_exit_two(capsys, model, flag, value):
     assert err.startswith(f"error: {flag} must be ")
 
 
+@pytest.mark.parametrize(
+    "command, value, floor",
+    [("ppsd-check", "0", 1), ("ppsd-check", "-3", 1), ("simulate", "1", 2)],
+    ids=["check-steps-0", "check-steps-minus-3", "simulate-steps-1"],
+)
+def test_steps_below_the_floor_exit_two_naming_the_flag(capsys, command, value, floor):
+    code, out, err = run_cli(
+        capsys, command, "--model", "dephasing_qubit", "--state", "plus",
+        "--t-max", "1", "--steps", value,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --steps must be >= {floor}, got {value}\n"
+
+
 # ---------------------------------------------------------------------------
 # list-models
 # ---------------------------------------------------------------------------

@@ -30,11 +30,10 @@ from ppsd_lab import (
     pauli_operators,
     position_closed_form,
     propagate,
-    purity_trajectory,
     stationary_states,
     stationarity_defect,
 )
-from tests_support import DESK_SPECS, desk_catalog, kronecker_generator
+from tests_support import DESK_SPECS, desk_catalog, kronecker_generator, stored_coefficients
 
 
 def random_density(rng, dim) -> DensityMatrix:
@@ -118,7 +117,7 @@ def test_sparse_generator_matches_dense(spec):
     model = catalog_model(spec)
     reference = kronecker_generator(model)
     err = np.abs(liouvillian_matrix(model) - reference).max()
-    if model._diagonal_coefficients is None:
+    if model._diagonal_jumps is None:
         assert err <= 1e-15
     else:
         assert err <= 1e-13 * np.abs(reference).max()
@@ -126,7 +125,7 @@ def test_sparse_generator_matches_dense(spec):
 
 
 def test_generator_kernels_leave_the_dissipator_table_unbuilt():
-    # a diagonal model's generator is read from its entrywise coefficients;
+    # a diagonal model's generator stores its entrywise coefficients;
     # the jump stack would hold a dense 64 x 64 L for each of the 64 terms
     model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 64)))
     rho = DensityMatrix.maximally_mixed(64).matrix
@@ -140,10 +139,10 @@ def test_generator_kernels_leave_the_dissipator_table_unbuilt():
 def test_diagonal_coefficients_vanish_on_the_diagonal():
     # the populations of a diagonal model are constants of motion, so
     # c_ii is exactly 0, not roundoff that exp(c t) amplifies
-    diagonal = [m for m in desk_catalog() if m._diagonal_coefficients is not None]
+    diagonal = [m for m in desk_catalog() if m._diagonal_jumps is not None]
     assert len(diagonal) == 6
     for model in diagonal:
-        assert not np.diag(model._diagonal_coefficients).any(), model.label
+        assert not np.diag(stored_coefficients(model)).any(), model.label
 
 
 def test_negative_rate_rejected():
@@ -244,19 +243,19 @@ def test_purity_trajectory_dephasing_decay_law():
     model = catalog_model(ModelSpec("dephasing_qubit", {"gamma": 1.0}))
     rho0 = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
     times = np.linspace(0.0, 2.0, 21)
-    t_out, purities = purity_trajectory(propagate(model, rho0, times))
+    traj = propagate(model, rho0, times)
     np.testing.assert_allclose(
-        purities, 0.5 * (1.0 + np.exp(-4.0 * t_out)), atol=1e-10
+        traj.purities, 0.5 * (1.0 + np.exp(-4.0 * traj.times)), atol=1e-10
     )
 
 
 def test_purity_trajectory_constant_for_stationary_starts():
     model = catalog_model(ModelSpec("dephasing_qubit", {"gamma": 1.0}))
     diag = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
-    _, purities = purity_trajectory(propagate(model, diag, np.linspace(0, 3, 7)))
+    purities = propagate(model, diag, np.linspace(0, 3, 7)).purities
     np.testing.assert_allclose(purities, purities[0], atol=1e-12)
     pure = DensityMatrix.from_state(StateVector.basis(2, 0))
-    _, pure_p = purity_trajectory(propagate(model, pure, np.linspace(0, 3, 7)))
+    pure_p = propagate(model, pure, np.linspace(0, 3, 7)).purities
     np.testing.assert_allclose(pure_p, 1.0, atol=1e-12)
 
 
@@ -453,11 +452,11 @@ def test_large_non_diagonal_run_stays_exact_and_sparse(monkeypatch):
 
 def test_diagonal_propagation_never_builds_the_dissipator_table():
     # the jump stack holds a dense L for each of the 256 grid terms; the entrywise
-    # path reads only the cached diagonal coefficients, formed from the
-    # stored diagonals without densifying a single term
+    # path reads only the diagonal generator, formed from the stored
+    # diagonals without densifying a single term
     model = catalog_model(ModelSpec("grw", {}, GridSpec(-5.0, 5.0, 256)))
     propagate(model, DensityMatrix.maximally_mixed(256), np.linspace(0.0, 1.0, 3))
-    assert "_diagonal_coefficients" in model.__dict__
+    assert "_generator" in model.__dict__
     assert "_jumps" not in model.__dict__
     assert not any("matrix" in t.op.__dict__ for t in model.terms)
 
@@ -467,7 +466,7 @@ def test_entrywise_propagation_holds_one_raw_state_at_a_time():
     grid = GridSpec(-5.0, 5.0, 256)
     model = catalog_model(ModelSpec("position_decoherence", {}, grid))
     rho0 = _gaussian_density(grid)
-    assert model._diagonal_coefficients is not None
+    assert model._diagonal_jumps is not None
     tracemalloc.start()
     try:
         traj = propagate(model, rho0, np.linspace(0.0, 1.0, 51))
@@ -504,7 +503,7 @@ def test_real_entrywise_propagation_matches_the_complex_expression(name):
     grid = GridSpec(-5.0, 5.0, 64)
     model = catalog_model(ModelSpec(name, {}, grid))
     rho0 = _gaussian_density(grid).matrix
-    c = model._diagonal_coefficients
+    c = stored_coefficients(model)
     times = np.linspace(0.0, 1.0, 11)
     for t, out in zip(times, lindblad._propagate_exact(model, rho0, times)):
         ref = rho0 * np.exp(c * t)
@@ -516,7 +515,7 @@ def test_complex_entrywise_propagation_keeps_the_complex_expression():
     # H = omega0 N makes the coefficients complex
     model = catalog_model(ModelSpec("phase_damped_oscillator", {"dim": 10}))
     rho0 = random_density(np.random.default_rng(4), 10).matrix
-    c = model._diagonal_coefficients
+    c = stored_coefficients(model)
     assert c.imag.any()
     times = np.linspace(0.0, 1.0, 11)
     for t, out in zip(times, lindblad._propagate_exact(model, rho0, times)):
@@ -538,7 +537,7 @@ def test_entrywise_propagation_at_the_float_limit_keeps_only_the_populations(spe
         rho0 = random_density(np.random.default_rng(5), model.dim).matrix
     times = np.array([0.0, 1.0, 1e308])
     states = list(lindblad._propagate_exact(model, rho0, times))
-    assert np.array_equal(states[1], rho0 * np.exp(model._diagonal_coefficients * 1.0))
+    assert np.array_equal(states[1], rho0 * np.exp(stored_coefficients(model) * 1.0))
     assert np.array_equal(states[2], np.diag(np.diag(rho0)))
 
 
@@ -586,8 +585,12 @@ def test_diagonal_coefficients_are_the_generator_diagonal(spec):
     sup = kronecker_generator(model)
     assert not np.any(sup - np.diag(np.diag(sup)))
     diag = np.diag(sup)
-    got = model._diagonal_coefficients.reshape(-1)
+    got = stored_coefficients(model).reshape(-1)
     assert np.abs(got - diag).max() <= 1e-13 * np.abs(diag).max()
+    # one stored diagonal at offset 0, no index arrays
+    gen = model._generator
+    assert gen.format == "dia" and gen.offsets.tolist() == [0]
+    assert gen.data.shape == (1, model.dim**2)
 
 
 def test_diagonal_jumps_stack_the_nonzero_rate_diagonals():
@@ -620,7 +623,7 @@ def test_diagonal_jumps_predicate_covers_every_operator(spec):
     mats = [model.hamiltonian.matrix] + [t.op.matrix for t in model.terms]
     diagonal = all(not np.any(m - np.diag(np.diag(m))) for m in mats)
     assert (model._diagonal_jumps is not None) == diagonal
-    assert (model._diagonal_coefficients is not None) == diagonal
+    assert (model._generator.format == "dia") == diagonal
     if diagonal:
         # a zero-rate off-diagonal term adds nothing to the generator, yet
         # still makes the model non-diagonal
@@ -630,7 +633,7 @@ def test_diagonal_jumps_predicate_covers_every_operator(spec):
             model.hamiltonian, model.terms + (LindbladTerm(0.0, Operator(off)),), model.dim
         )
         assert padded._diagonal_jumps is None
-        assert padded._diagonal_coefficients is None
+        assert padded._generator.format == "csr"
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +719,7 @@ def test_propagation_gate_rejects_negativity_beyond_1e_8():
 
 
 def test_propagation_gate_passes_negativity_below_1e_8_and_keeps_it():
-    state = lindblad._validated_state(_gate_input(-5e-9), 0.25)
+    state, _ = lindblad._validated_state(_gate_input(-5e-9), 0.25)
     assert state.min_eigenvalue == pytest.approx(-5e-9, abs=1e-15)
     assert state.min_eigenvalue == np.linalg.eigvalsh(state.matrix).min()
     assert state.matrix.trace().real == pytest.approx(1.0, abs=1e-15)

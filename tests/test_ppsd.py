@@ -687,6 +687,18 @@ def test_search_nonnegative_residuals_and_report_invariants():
 
 
 @pytest.mark.parametrize(
+    "knobs, name",
+    [({"n_restarts": 0}, "n_restarts"), ({"seed": -1}, "seed")],
+    ids=["restarts-0", "seed-minus-1"],
+)
+def test_search_config_refuses_an_invalid_knob(knobs, name):
+    # a negative seed would reach numpy's generator and raise its ValueError
+    # from inside unlisted_hits
+    with pytest.raises(InvariantViolation, match=name):
+        SearchConfig(**knobs)
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.3}),

@@ -44,3 +44,9 @@ def kronecker_generator(model: LindbladModel) -> np.ndarray:
             np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T)
         )
     return sup
+
+
+def stored_coefficients(model: LindbladModel) -> np.ndarray:
+    """The entrywise coefficients c of a diagonal model, read as the (d, d)
+    view of its generator's one stored diagonal."""
+    return model._generator.data.reshape(model.dim, model.dim)
