@@ -23,15 +23,17 @@ The trace functional vec(I) is a left null vector of every generator.
 Exact propagation takes one of three paths, chosen from the model alone
 and recorded in ``Trajectory.path``: entrywise exponentials when H and every
 L are diagonal (in real arithmetic when the coefficients and the initial
-state are real); a dense exp(L dt) for other models up to
-DENSE_GENERATOR_MAX_DIM; above it, the action of the exponential on
-vec(rho) by truncated Taylor series on the sparse generator (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33 (2011) 488, Alg. 5.2, with degree
-m = 55, theta_55 = 9.9 and the exact 1-norm; ``_propagate_sparse``),
-which never forms a dim^2 x dim^2 dense array and draws no random
-numbers.  Every exact path forms one state per time, in time order:
-``propagated_states`` gates and yields the states one at a time, and
-``propagate`` collects them into a ``Trajectory``.
+state are real); for other models, exp(B dt) of each invariant block B of
+the generator (``LindbladModel._blocks``, the coherence orders of a weak
+U(1) symmetry on most catalog models), as long as the blocks' work
+sum_b size_b^3 is at most BLOCK_EXPM_MAX_WORK; past it, the action of the
+exponential on vec(rho) by truncated Taylor series on the sparse generator
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, Alg. 5.2, with
+degree m = 55, theta_55 = 9.9 and the exact 1-norm; ``_propagate_sparse``).
+Neither of the last two forms a dim^2 x dim^2 dense array, and no path
+draws random numbers.  Every exact path forms one state per time, in time
+order: ``propagated_states`` gates and yields the states one at a time,
+and ``propagate`` collects them into a ``Trajectory``.
 
 Superoperator norms are Frobenius norms throughout.
 
@@ -41,7 +43,8 @@ the norm, the stationarity defect and every propagation path read it.  A
 model whose H and L are all diagonal acts entrywise, d rho_ij/dt =
 c_ij rho_ij, and stores vec(c) as the one diagonal of a sparse DIA array,
 which holds no index arrays; the entrywise path reads c back as a view of
-it.  Any other model stores the Kronecker sum as a sparse CSR array.  The
+it.  Any other model stores the Kronecker sum as a sparse CSR array,
+assembled from index arithmetic without forming a Kronecker product.  The
 nonzero-rate terms are held in one of two stacked forms.  ``_jumps`` holds
 rates (k,) and the jump operators as one (k, d, d) array; it feeds the
 generator of a non-diagonal model and, in ``ppsd``, every residual,
@@ -67,20 +70,24 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, IntegrationFailure, InvariantViolation
 from .hilbert import HERMITICITY_TOL, DensityMatrix, GridSpec, Operator, _operator_array, purity
 
-#: Largest dimension at which a non-diagonal model propagates by a dense
-#: one-step exp(L dt).  Above it propagation runs the Taylor kernel of
-#: ``_propagate_sparse`` on the sparse generator.
-#: Dense against sparse, damped oscillator N = 0.3 on 41 and 101 points
-#: to t = 2 and 1.5, best of 3, one BLAS thread of a 2-core VM:
-#: d = 12 9-10 ms / 6-7 ms, d = 16 28-35 ms / 9 ms, d = 20 77-88 ms /
-#: 9-10 ms, d = 32 1.2 s / 29 ms.  The sparse kernel is the faster one
-#: from d = 12, but its work grows with ||L|| t and the dense step's does
-#: not, so long horizons at d <= 16 stay dense.
-DENSE_GENERATOR_MAX_DIM = 16
+#: Largest work sum_b s_b^3 over the invariant blocks (sizes s_b) of a
+#: non-diagonal generator at which propagation steps block by block
+#: (``_propagate_blocks``); past it the Taylor kernel of
+#: ``_propagate_sparse`` runs on the whole sparse generator.  256^3 is the
+#: work of one dense exp(L dt) at d = 16, so a model of d <= 16 (a rotated
+#: one is a single block) keeps a step whose cost does not grow with t.
+#: Blocks against Taylor, damped oscillator N = 0.3 on 101 points to
+#: t = 1.5, best of 3, one BLAS thread of a 2-core VM: d = 24 5.4 / 15.9
+#: ms, d = 40 12.6 / 27.1 ms, d = 56 (work 4.9e6) 38.8 / 36.7 ms, d = 72
+#: (1.3e7) 92 / 84 ms, d = 80 (2.0e7) 131 / 89 ms.  A ``simulate`` of
+#: d = 24 to t = 1500 takes 20 ms on the block path and 3.9 s on the Taylor
+#: kernel, whose work grows with ||L|| t.
+BLOCK_EXPM_MAX_WORK = 256**3
 
 #: Invariant gate applied to every propagated state (trace error, negativity).
 PROPAGATION_GATE = 1e-8
@@ -220,7 +227,7 @@ class LindbladModel:
         exactly 0: the formula leaves roundoff there (up to 1.4e-14), which
         exp(c t) amplifies to overflow at long horizons.  Any other model
         holds the Kronecker sum of the module docstring over the ``_jumps``
-        stack as a CSR array.
+        stack as a CSR array, assembled entry by entry (``_kronecker_sum``).
         """
         jumps = self._diagonal_jumps
         if jumps is not None:
@@ -233,18 +240,29 @@ class LindbladModel:
             c.setflags(write=False)
             n = self.dim**2
             return sparse.dia_array((c.reshape(1, n), [0]), shape=(n, n))
-        eye = sparse.identity(self.dim, dtype=complex, format="csr")
-        h = sparse.csr_array(self.hamiltonian.matrix)
-        sup = -1j * (sparse.kron(h, eye, format="csr") - sparse.kron(eye, h.T, format="csr"))
-        for rate, L in zip(*self._jumps):
-            LdL = sparse.csr_array(L.conj().T @ L)
-            L = sparse.csr_array(L)
-            sup = sup + rate * (
-                sparse.kron(L, L.conj(), format="csr")
-                - 0.5 * sparse.kron(LdL, eye, format="csr")
-                - 0.5 * sparse.kron(eye, LdL.T, format="csr")
-            )
-        return sup
+        return _kronecker_sum(self.hamiltonian.matrix, *self._jumps)
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, sizes): the invariant blocks of a non-diagonal generator.
+
+        The blocks are the weakly connected components of the generator's
+        sparsity pattern, so every stored entry joins two indices of one
+        block and exp(L t) acts on each block alone.  ``perm`` lists the
+        vec indices block by block, ``sizes`` the block sizes in that
+        order: blocks by size, ties by their smallest index, indices
+        ascending within a block.  Both are read-only.
+        """
+        gen = self._generator
+        # csgraph casts the data to float; it reads the pattern alone
+        pattern = sparse.csr_array((np.ones(gen.nnz), gen.indices, gen.indptr), shape=gen.shape)
+        _, labels = connected_components(pattern, connection="weak")
+        counts = np.bincount(labels)
+        perm = np.lexsort((labels, counts[labels]))
+        sizes = counts[np.argsort(counts, kind="stable")]
+        perm.setflags(write=False)
+        sizes.setflags(write=False)
+        return perm, sizes
 
 
 @dataclass(frozen=True)
@@ -252,7 +270,7 @@ class Trajectory:
     """Times, propagated states, and their purities.
 
     ``propagate`` also records how the states were computed: ``path`` names
-    the propagation path that ran ("entrywise", "dense_expm",
+    the propagation path that ran ("entrywise", "block_expm",
     "sparse_expm_multiply" or "adaptive_rk"), and ``trace_errors`` holds
     |tr rho - 1| of each propagated state before the gate renormalised it,
     the value the gate judged.  Both are None on a trajectory built
@@ -281,6 +299,63 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # generator construction and application
 # ---------------------------------------------------------------------------
+
+
+def _entries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, values) of the nonzero entries of a matrix."""
+    i, k = np.nonzero(a)
+    return i, k, a[i, k]
+
+
+def _kron_entries(a, b, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, values) of kron(a, b) from the ``_entries`` of two d x d arrays.
+
+    The entry a_ik b_jl sits at row i d + j and column k d + l; its key is
+    row * d^2 + column.
+    """
+    (i, k, av), (j, l, bv) = a, b
+    rows = (i[:, None] * d + j).ravel()
+    cols = (k[:, None] * d + l).ravel()
+    return rows * d * d + cols, np.multiply.outer(av, bv).ravel()
+
+
+def _kronecker_sum(h: np.ndarray, rates: np.ndarray, L: np.ndarray) -> sparse.csr_array:
+    """The generator of (H, {gamma_k, L_k}) as a CSR array, from index arithmetic.
+
+    The stored entries are the union of the nonzero entries of the
+    Kronecker products of the module docstring.  Each entry is formed with
+    their arithmetic, -i (h_1 - h_2) + sum_k gamma_k ((a_k - b_k/2) - c_k/2)
+    with the terms in model order and 0 for a product that has no entry
+    there, so the array equals the sum of sparse Kronecker products bit
+    for bit.  Entries that come out exactly 0 are not stored: the pattern
+    is the generator's, and ``LindbladModel._blocks`` reads it.
+    """
+    d = h.shape[0]
+    n = d * d
+    eye = _entries(np.eye(d))
+    parts = [_kron_entries(_entries(h), eye, d), _kron_entries(eye, _entries(h.T), d)]
+    for Lk in L:
+        LdL = Lk.conj().T @ Lk
+        parts += [
+            _kron_entries(_entries(Lk), _entries(Lk.conj()), d),
+            _kron_entries(_entries(LdL), eye, d),
+            _kron_entries(eye, _entries(LdL.T), d),
+        ]
+    keys, slots = np.unique(np.concatenate([key for key, _ in parts]), return_inverse=True)
+    slots = np.split(slots, np.cumsum([key.size for key, _ in parts])[:-1])
+
+    def part(p: int) -> np.ndarray:
+        out = np.zeros(keys.size, dtype=complex)
+        out[slots[p]] = parts[p][1]
+        return out
+
+    value = -1j * (part(0) - part(1))
+    for t, rate in enumerate(rates):
+        value = value + rate * ((part(3 * t + 2) - 0.5 * part(3 * t + 3)) - 0.5 * part(3 * t + 4))
+    keep = value != 0
+    keys = keys[keep]
+    indptr = np.searchsorted(keys // n, np.arange(n + 1))
+    return sparse.csr_array((value[keep], keys % n, indptr), shape=(n, n))
 
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
@@ -347,12 +422,12 @@ def _check_times(times) -> np.ndarray:
 
 def _exact_path(model: LindbladModel) -> str:
     """The exact propagation path the model takes: "entrywise",
-    "dense_expm" or "sparse_expm_multiply"."""
+    "block_expm" or "sparse_expm_multiply"."""
     if model._diagonal_jumps is not None:
         return "entrywise"
-    if model.dim > DENSE_GENERATOR_MAX_DIM:
-        return "sparse_expm_multiply"
-    return "dense_expm"
+    if np.sum(model._blocks[1].astype(float) ** 3) <= BLOCK_EXPM_MAX_WORK:
+        return "block_expm"
+    return "sparse_expm_multiply"
 
 
 def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
@@ -367,8 +442,7 @@ def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
     product in real arithmetic, rho0.real * exp(c.real t), and the gate
     then diagonalises a real symmetric matrix.  The entries agree with the
     complex expression to roundoff, so grid outputs move only in their last
-    digits.  The dense path steps vec(rho) by exp(L dt), one cached
-    exponential per distinct step.
+    digits.
     """
     path = _exact_path(model)
     if path == "entrywise":
@@ -378,24 +452,10 @@ def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
         c_max = float(np.abs(c).max())
         for t in times:
             yield rho0 * np.exp(_entrywise_exponent(c, c_max, t))
-        return
-    if path == "sparse_expm_multiply":
+    elif path == "block_expm":
+        yield from _propagate_blocks(model, rho0, times)
+    else:
         yield from _propagate_sparse(model, rho0, times)
-        return
-    d = model.dim
-    sup = liouvillian_matrix(model)
-    vec = rho0.reshape(d * d)
-    step_cache: dict[float, np.ndarray] = {}
-    prev_t = 0.0
-    for t in times:
-        dt = t - prev_t
-        if dt > 0:
-            key = round(float(dt), 15)
-            if key not in step_cache:
-                step_cache[key] = expm(sup * dt)
-            vec = step_cache[key] @ vec
-        prev_t = t
-        yield vec.reshape(d, d)
 
 
 def _entrywise_exponent(c: np.ndarray, c_max: float, t: float) -> np.ndarray:
@@ -403,6 +463,69 @@ def _entrywise_exponent(c: np.ndarray, c_max: float, t: float) -> np.ndarray:
     if c_max * float(t) < 1e300:
         return c * t
     return (np.maximum(c.real, -1e3 / t) + 1j * np.clip(c.imag, -1e300 / t, 1e300 / t)) * t
+
+
+def _legs(times: np.ndarray) -> list[tuple[float, int]]:
+    """(step, count) legs of a time grid: [0, times[0]] as one step, then
+    the uniform grid as one leg of equal steps, or each interval of any
+    other grid as its own."""
+    t0, q = float(times[0]), times.size - 1
+    legs = [(t0, 1)]
+    if q and np.array_equal(times, np.linspace(t0, times[-1], times.size)):
+        legs.append(((float(times[-1]) - t0) / q, q))
+    else:
+        legs += [(dt, 1) for dt in np.diff(times).tolist()]
+    return legs
+
+
+def _propagate_blocks(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
+    """exp(L t) vec(rho0) at every time, stepped block by block.
+
+    E(h) = (+)_b exp(B_b h) over the invariant blocks B_b of the generator
+    (``LindbladModel._blocks``) is held as one CSR array, formed once per
+    distinct step h of ``_legs`` with one stacked ``expm`` call per block
+    size, and each step is vec(rho) <- E(h) vec(rho), a sparse product
+    whose sums run in a fixed order whatever the thread count.  A step
+    whose h ||L||_1 is not finite raises InvariantViolation before any
+    exponential is formed.
+    """
+    d = model.dim
+    n = d * d
+    gen = model._generator
+    legs = _legs(times)
+    h_max = max(h for h, _ in legs)
+    if not math.isfinite(h_max * float(np.abs(gen).sum(axis=0).max())):
+        raise InvariantViolation(f"dt ||L||_1 overflows at dt={h_max:g}")
+    perm, sizes = model._blocks
+    # per permuted index j: its block's size and start, and where its row
+    # of the block starts in the flat store of the blocks, block by block
+    size = np.repeat(sizes, sizes)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row_start = np.cumsum(size) - size
+    pos = np.argsort(perm)
+    coo = gen.tocoo()
+    jr, jc = pos[coo.row], pos[coo.col]
+    flat = np.zeros(size.sum(), dtype=complex)
+    flat[row_start[jr] + jc - start[jr]] = coo.data
+    by_size, counts = np.unique(sizes, return_counts=True)
+    parts = np.split(flat, np.cumsum(counts * by_size**2)[:-1])
+    stacks = [part.reshape(-1, s, s) for s, part in zip(by_size, parts)]
+    # E(h) in CSR order: the rows of the original basis, each holding its
+    # block's row, columns in block order
+    row = np.repeat(np.arange(n), size)
+    take = np.argsort(perm[row], kind="stable")
+    cols = perm[start[row] + np.arange(row.size) - row_start[row]][take]
+    indptr = np.concatenate(([0], np.cumsum(size[pos])))
+    steps: dict[float, sparse.csr_array] = {}
+    z = rho0.reshape(n)
+    for h, q in legs:
+        if h > 0 and h not in steps:
+            data = np.concatenate([expm(B * h).reshape(-1) for B in stacks])
+            steps[h] = sparse.csr_array((data[take], cols, indptr), shape=(n, n))
+        for _ in range(q):
+            if h > 0:
+                z = steps[h] @ z
+            yield z.reshape(d, d)
 
 
 def _propagate_sparse(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
@@ -416,11 +539,12 @@ def _propagate_sparse(model: LindbladModel, rho0: np.ndarray, times: np.ndarray)
     Table 3.1).  No norm is estimated, so the kernel draws no random
     numbers.  A t ||A||_1 that overflows raises InvariantViolation.
 
-    The legs are [0, times[0]] as one step, then the uniform grid as one
-    leg or each interval of any other grid as its own.  When q > s, each
-    block of q // s steps computes its Taylor terms (hA)^p z / p! once, up
-    to the paper's stopping test at the block's last point, and forms
-    every point k of the block as exp(k h mu) sum_p k^p K[p].  When q <= s,
+    The legs are those of ``_legs``: [0, times[0]] as one step, then the
+    uniform grid as one leg or each interval of any other grid as its own.
+    When q > s, each block of q // s steps computes its Taylor terms
+    (hA)^p z / p! once, up to the paper's stopping test at the block's last
+    point, and forms every point k of the block as
+    exp(k h mu) sum_p k^p K[p].  When q <= s,
     each interval takes one scaled step: ceil(h ||A||_1 / theta_55)
     one-point blocks.  The points are summed elementwise, term by term,
     not as one matrix product: a BLAS product's summation order follows
@@ -436,15 +560,9 @@ def _propagate_sparse(model: LindbladModel, rho0: np.ndarray, times: np.ndarray)
     norm = float(np.abs(A).sum(axis=0).max())
     if not math.isfinite(float(times[-1]) * norm):
         raise InvariantViolation(f"t ||L - mu I||_1 overflows at t={times[-1]:g}")
-    t0, q = float(times[0]), times.size - 1
-    legs = [(t0, 1)]
-    if q and np.array_equal(times, np.linspace(t0, times[-1], times.size)):
-        legs.append(((float(times[-1]) - t0) / q, q))
-    else:
-        legs += [(dt, 1) for dt in np.diff(times).tolist()]
     K = np.empty((_TAYLOR_DEGREE + 1, n), dtype=complex)
     z = rho0.reshape(n)
-    for h, q in legs:
+    for h, q in _legs(times):
         s = max(1, math.ceil(q * h * norm / _THETA))
         per, sub = (q // s, 1) if q > s else (1, max(1, math.ceil(h * norm / _THETA)))
         m = _TAYLOR_DEGREE if h * norm > 0 else 0
@@ -535,10 +653,11 @@ def propagate(model: LindbladModel, rho0, times, method: str = "exact_exponentia
 
     ``method`` is "exact_exponential" or "adaptive_rk" (DOP853 with rtol
     1e-10 / atol 1e-12, run only when asked for).  The exact method is
-    entrywise for diagonal models, a dense matrix exponential of the
-    generator for other models up to DENSE_GENERATOR_MAX_DIM, and above it
-    the Taylor kernel of ``_propagate_sparse`` on the sparse generator,
-    one leg for a uniform grid, one per interval otherwise.  Every path
+    entrywise for diagonal models, a matrix exponential of each invariant
+    block of the generator for other models up to BLOCK_EXPM_MAX_WORK, and
+    past it the Taylor kernel of ``_propagate_sparse`` on the sparse
+    generator; both step one leg for a uniform grid, one per interval
+    otherwise (``_legs``).  Every path
     reads the model's one cached generator (``LindbladModel._generator``);
     the Runge-Kutta right-hand side is one sparse matrix-vector product.
 

@@ -635,12 +635,14 @@ def test_simulate_exits_three_on_negativity_beyond_the_gate(capsys, monkeypatch,
     "argv, path",
     [
         (("--model", "dephasing_qubit"), "entrywise"),
-        (("--model", "thermal_qubit"), "dense_expm"),
+        (("--model", "thermal_qubit"), "block_expm"),
         (("--model", "damped_oscillator", "--dim", "24", "--state", "coherent:0.5,0"),
+         "block_expm"),
+        (("--model", "nonadiabatic_driven", "--dim", "24", "--state", "coherent:0.5,0"),
          "sparse_expm_multiply"),
         (("--model", "thermal_qubit", "--method", "adaptive_rk"), "adaptive_rk"),
     ],
-    ids=["entrywise", "dense_expm", "sparse_expm_multiply", "adaptive_rk"],
+    ids=["entrywise", "block_expm", "block_expm_d24", "sparse_expm_multiply", "adaptive_rk"],
 )
 def test_simulate_reports_the_propagation_path(capsys, argv, path):
     args = ("simulate", *argv, "--t-max", "0.5", "--steps", "4")
@@ -658,11 +660,11 @@ def test_simulate_reports_the_propagation_path(capsys, argv, path):
         ("--model", "dephasing_qubit", "--t-max", "0.5", "--steps", "4"),
         ("--model", "thermal_qubit", "--t-max", "0.5", "--steps", "4"),
         # one 40-point Taylor block after the t = 0 step
-        ("--model", "damped_oscillator", "--dim", "24", "--state", "coherent:0.5,0",
+        ("--model", "nonadiabatic_driven", "--dim", "24", "--state", "coherent:0.5,0",
          "--t-max", "0.05", "--steps", "40"),
         ("--model", "thermal_qubit", "--method", "adaptive_rk", "--t-max", "0.5", "--steps", "4"),
     ],
-    ids=["entrywise", "dense_expm", "sparse_expm_multiply", "adaptive_rk"],
+    ids=["entrywise", "block_expm", "sparse_expm_multiply", "adaptive_rk"],
 )
 def test_simulate_streams_the_rows_of_the_propagated_trajectory(monkeypatch, argv):
     import ppsd_lab.cli as cli
@@ -683,7 +685,7 @@ def test_simulate_streams_the_rows_of_the_propagated_trajectory(monkeypatch, arg
     monkeypatch.setattr(lindblad, "_taylor_block", block_spy)
     monkeypatch.setattr(cli, "emit", lambda record, _fmt, _out: records.append(record))
     assert main(["simulate", *argv]) == 0
-    if "damped_oscillator" in argv:
+    if "nonadiabatic_driven" in argv:
         assert max(blocks) > 1
     (args, kwargs), = calls
     traj = propagate(*args, **kwargs)
@@ -698,15 +700,15 @@ def test_simulate_streams_the_rows_of_the_propagated_trajectory(monkeypatch, arg
     [
         ("--model", "position_decoherence", "--grid=-5,5,256", "--state", "gaussian:0.3,0.7",
          "--t-max", "1.5", "--steps", "400"),
+        ("--model", "nonadiabatic_driven", "--dim", "40", "--t-max", "0.01", "--steps", "2000"),
         ("--model", "damped_oscillator", "--param", "N=0.3", "--dim", "40",
          "--t-max", "0.01", "--steps", "2000"),
     ],
-    ids=["entrywise_grid", "sparse_one_block"],
+    ids=["entrywise_grid", "sparse_one_block", "block_expm"],
 )
 def test_simulate_memory_does_not_grow_with_steps(capsys, argv):
-    # the streamed rows hold no state: at the parent these runs held 401
-    # float64 256 x 256 states (200 MiB) and a (2000, 1600) complex Taylor
-    # block plus its states
+    # the streamed rows hold no state: 401 float64 256 x 256 states take
+    # 200 MiB, and a (2000, 1600) complex Taylor block 49 MiB
     tracemalloc.start()
     try:
         code = main(["simulate", *argv])
@@ -760,24 +762,24 @@ def test_simulate_d80_runs_the_exact_method_it_reports(capsys, monkeypatch):
 
 
 def test_check_builds_the_kronecker_sum_once(capsys, monkeypatch):
-    # the norm and the sparse propagation read one cached generator: the
-    # Kronecker sum of H and two jump operators takes 2 + 2 * 3 products
-    from scipy import sparse
+    # the norm, the blocks and the propagation read one cached generator,
+    # assembled once
+    import ppsd_lab.lindblad as lindblad
 
-    kron, calls = sparse.kron, []
+    assemble, calls = lindblad._kronecker_sum, []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return kron(*args, **kwargs)
+        return assemble(*args, **kwargs)
 
-    monkeypatch.setattr(sparse, "kron", counted)
+    monkeypatch.setattr(lindblad, "_kronecker_sum", counted)
     code, _, _ = run_cli(
         capsys,
         "ppsd-check", "--model", "damped_oscillator", "--param", "N=0.3",
         "--dim", "24", "--state", "coherent:0.5",
     )
     assert code == 0
-    assert len(calls) == 8
+    assert len(calls) == 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -852,7 +854,19 @@ def test_smallest_positive_horizon_check_exits_zero(capsys, flags):
         pytest.param(
             ("--model", "three_level_atom", "--state", "ground", "--t-max", "1e20"),
             id="three-level-1e20",
-            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4: trace error 2.007e+06"),
+            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4: trace error 1.958e+06"),
+        ),
+        # the block path's work does not grow with the horizon
+        pytest.param(
+            ("--model", "damped_oscillator", "--param", "N=0.3", "--dim", "24",
+             "--t-max", "1500"),
+            id="damped-d24-1500",
+        ),
+        pytest.param(
+            ("--model", "damped_oscillator", "--param", "N=0.3", "--dim", "24",
+             "--t-max", "1e20", "--steps", "5"),
+            id="damped-d24-1e20",
+            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4: trace error 1.000e+00"),
         ),
         pytest.param(
             ("--model", "damped_oscillator", "--param", "N=0.3", "--dim", "40",
@@ -1200,6 +1214,8 @@ def test_output_written_atomically(tmp_path):
                       "--steps", "25"), id="simulate-depolarizing"),
         pytest.param(("simulate", "--model", "damped_oscillator", "--param", "N=0.3",
                       "--dim", "24", "--t-max", "1.5", "--format", "json"), id="simulate-sparse"),
+        pytest.param(("simulate", "--model", "nonadiabatic_driven", "--dim", "24", "--t-max", "1.5",
+                      "--format", "json"), id="simulate-taylor"),
         pytest.param(("simulate", "--model", "damped_oscillator", "--param", "N=0", "--dim", "24",
                       "--method", "adaptive_rk", "--t-max", "1.5", "--format", "json"),
                      id="simulate-adaptive-rk"),
@@ -1252,8 +1268,11 @@ def test_outputs_do_not_depend_on_the_thread_count(tmp_path):
          "--t-max", "1.5", "--format", "json"),
         ("ppsd-check", "--model", "damped_oscillator", "--param", "N=0.3", "--dim", "24",
          "--state", "coherent:0.5", "--format", "json"),
-        # one Taylor block of 400 points, each formed when it is yielded
         ("simulate", "--model", "damped_oscillator", "--param", "N=0.3", "--dim", "24",
+         "--t-max", "0.05", "--steps", "400", "--format", "json"),
+        # past the block crossover: one Taylor block of 400 points, each
+        # formed when it is yielded
+        ("simulate", "--model", "nonadiabatic_driven", "--dim", "24", "--state", "coherent:0.5",
          "--t-max", "0.05", "--steps", "400", "--format", "json"),
         ("ppsd-search", "--model", "damped_oscillator", "--param", "N=0.3", "--dim", "24",
          "--restarts", "4", "--seed", "1", "--format", "json"),

@@ -33,6 +33,7 @@ from ppsd_lab import (
     stationary_states,
     stationarity_defect,
 )
+from ppsd_lab.models import CATALOG_INFO
 from tests_support import DESK_SPECS, desk_catalog, kronecker_generator, stored_coefficients
 
 
@@ -307,14 +308,14 @@ def test_exact_and_rk_methods_agree(spec):
 
 
 # ---------------------------------------------------------------------------
-# sparse propagation above DENSE_GENERATOR_MAX_DIM
+# the Taylor kernel, and exact propagation against dense exponentials
 # ---------------------------------------------------------------------------
 
 #: Every grid lies on multiples of STEP, so one dense expm(STEP L) is the
 #: oracle for all of them: uniform, non-uniform (with a repeated time), a
 #: single time point, and one that starts at t0 > 0, long against its span.
 #: The last catches a [0, t0] leg applied twice, and one taken with the
-#: scaling chosen for the span (5e-9 off at d = 24).
+#: Taylor kernel's scaling chosen for the span (5e-9 off at d = 24).
 STEP = 0.1
 SPARSE_GRIDS = {
     "uniform": np.linspace(0.0, 1.5, 16),
@@ -338,24 +339,31 @@ def _sparse_id(spec):
 
 @pytest.mark.parametrize("spec", SPARSE_SPECS, ids=_sparse_id)
 def test_sparse_propagation_matches_dense_expm(spec):
+    # the Taylor kernel on every spec, and propagate along the path the
+    # model takes: the Taylor kernel past BLOCK_EXPM_MAX_WORK
+    # (nonadiabatic_driven), the block path below it
     model = catalog_model(spec)
     d = model.dim
-    assert d > lindblad.DENSE_GENERATOR_MAX_DIM
+    taylor = spec.name == "nonadiabatic_driven"
+    assert lindblad._exact_path(model) == ("sparse_expm_multiply" if taylor else "block_expm")
     rho0 = random_density(np.random.default_rng(d), d)
     step = expm(liouvillian_matrix(model) * STEP)
     oracle = [rho0.matrix.reshape(-1)]
     for _ in range(15):
         oracle.append(step @ oracle[-1])
     for name, times in SPARSE_GRIDS.items():
+        kernel = lindblad._propagate_sparse(model, rho0.matrix, times)
         traj = propagate(model, rho0, times)
-        for t, state in zip(times, traj.states):
+        for t, raw, state in zip(times, kernel, traj.states):
             expected = oracle[round(t / STEP)].reshape(d, d)
-            err = np.abs(state.matrix - expected).max()
-            assert err < 1e-12, (name, t, err)
+            for got in (raw, state.matrix):
+                err = np.abs(got - expected).max()
+                assert err < 1e-12, (name, t, err)
 
 
 def test_sparse_propagation_ignores_the_global_random_state():
-    model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}))
+    model = catalog_model(ModelSpec("nonadiabatic_driven", {"dim": 24}))
+    assert lindblad._exact_path(model) == "sparse_expm_multiply"
     rho0 = DensityMatrix.from_state(coherent_state(0.6 - 0.4j, 24))
     runs = []
     for seed in (0, 1, 2):
@@ -448,6 +456,124 @@ def test_large_non_diagonal_run_stays_exact_and_sparse(monkeypatch):
     traj = propagate(model, rho0, np.linspace(0.0, 1.0, 21))
     assert min(np.linalg.eigvalsh(s.matrix).min() for s in traj.states) > -1e-12
     assert liouvillian_norm(model) > 0
+
+
+# ---------------------------------------------------------------------------
+# invariant blocks
+# ---------------------------------------------------------------------------
+
+NON_DIAGONAL_DEFAULTS = [
+    spec for spec in (ModelSpec(name, {}) for name in CATALOG_INFO)
+    if catalog_model(spec)._diagonal_jumps is None
+]
+
+
+@pytest.mark.parametrize("spec", NON_DIAGONAL_DEFAULTS, ids=lambda s: s.name)
+def test_blocks_partition_the_generator(spec):
+    model = catalog_model(spec)
+    perm, sizes = model._blocks
+    n = model.dim**2
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    assert sizes.sum() == n and np.all(np.diff(sizes) >= 0)
+    label = np.empty(n, dtype=int)
+    label[perm] = np.repeat(np.arange(sizes.size), sizes)
+    gen = model._generator.tocoo()
+    assert gen.nnz and np.array_equal(label[gen.row], label[gen.col])
+    # no stored entry is an exact zero, which would join blocks for nothing
+    assert np.all(gen.data != 0)
+
+
+BLOCK_SPECS = [spec for spec in DESK_SPECS if catalog_model(spec)._diagonal_jumps is None] + [
+    ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24})
+]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=_sparse_id)
+def test_block_propagation_matches_the_dense_exponential(spec):
+    model = catalog_model(spec)
+    d = model.dim
+    assert d <= 16 or spec.params["dim"] == 24
+    assert lindblad._exact_path(model) == "block_expm"
+    rho0 = random_density(np.random.default_rng(d + 7), d).matrix
+    sup = kronecker_generator(model)
+    for name, times in SPARSE_GRIDS.items():
+        for t, got in zip(times, lindblad._propagate_exact(model, rho0, times)):
+            want = (expm(sup * t) @ rho0.reshape(-1)).reshape(d, d)
+            err = np.abs(got - want).max()
+            assert err <= 1e-12, (name, t, err)
+
+
+def test_a_rotated_d16_model_is_one_block_on_the_block_path():
+    # a random change of basis joins every block; 256^3 is the largest work
+    # the block path takes, that of one dense exp(L dt) at d = 16
+    model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.3, "dim": 16}))
+    q, _ = np.linalg.qr(random_density(np.random.default_rng(3), 16).matrix)
+    rotated = LindbladModel(
+        Operator(q @ model.hamiltonian.matrix @ q.conj().T),
+        tuple(LindbladTerm(t.rate, Operator(q @ t.op.matrix @ q.conj().T)) for t in model.terms),
+        16,
+    )
+    assert rotated._blocks[1].tolist() == [256]
+    assert lindblad._exact_path(rotated) == "block_expm"
+    rho0 = random_density(np.random.default_rng(4), 16).matrix
+    sup = kronecker_generator(rotated)
+    times = np.array([0.0, 0.7, 1.5])
+    for t, got in zip(times, lindblad._propagate_exact(rotated, rho0, times)):
+        want = (expm(sup * t) @ rho0.reshape(-1)).reshape(16, 16)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "thermal_qubit"),
+        ("--model", "damped_oscillator", "--dim", "16", "--state", "coherent:0.5"),
+        ("--model", "nonadiabatic_driven", "--dim", "16", "--state", "coherent:0.5"),
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_small_simulate_never_builds_the_dense_generator(monkeypatch, capsys, argv):
+    from ppsd_lab.cli import main
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("dense generator built")
+
+    monkeypatch.setattr(lindblad, "liouvillian_matrix", refuse)
+    assert main(["simulate", *argv, "--t-max", "1.5"]) == 0
+    assert "# path=block_expm" in capsys.readouterr().out
+
+
+def test_block_step_overflow_is_refused_before_any_exponential(monkeypatch):
+    model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("expm called")
+
+    monkeypatch.setattr(lindblad, "expm", refuse)
+    rho0 = DensityMatrix.maximally_mixed(24)
+    with pytest.raises(InvariantViolation, match=r"dt \|\|L\|\|_1 overflows at dt=1e\+308"):
+        propagate(model, rho0, [0.0, 1e308])
+
+
+def test_block_path_forms_one_step_per_distinct_step(monkeypatch):
+    # a uniform grid takes exp(L t0) and one exp(L h); each interval of a
+    # non-uniform grid takes its own, and a repeated step is formed once
+    model = catalog_model(ModelSpec("three_level_atom", {}))
+    n_sizes = np.unique(model._blocks[1]).size
+    calls = []
+    real = lindblad.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(lindblad, "expm", counted)
+    rho0 = DensityMatrix.maximally_mixed(3)
+    for times, steps in ((np.linspace(0.0, 1.5, 101), 1), (np.linspace(0.5, 1.5, 11), 2),
+                         (np.array([0.0, 0.5, 1.0, 1.0, 1.7]), 2)):
+        calls.clear()
+        propagate(model, rho0, times)
+        assert len(calls) == steps * n_sizes, times
 
 
 def test_diagonal_propagation_never_builds_the_dissipator_table():
@@ -545,12 +671,12 @@ def test_entrywise_propagation_at_the_float_limit_keeps_only_the_populations(spe
     "spec, method, path",
     [
         (ModelSpec("dephasing_qubit", {"gamma": 1.0}), "exact_exponential", "entrywise"),
-        (ModelSpec("thermal_qubit", {"N": 0.3}), "exact_exponential", "dense_expm"),
-        (ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}), "exact_exponential",
+        (ModelSpec("thermal_qubit", {"N": 0.3}), "exact_exponential", "block_expm"),
+        (ModelSpec("nonadiabatic_driven", {"dim": 24}), "exact_exponential",
          "sparse_expm_multiply"),
         (ModelSpec("thermal_qubit", {"N": 0.3}), "adaptive_rk", "adaptive_rk"),
     ],
-    ids=["entrywise", "dense_expm", "sparse_expm_multiply", "adaptive_rk"],
+    ids=["entrywise", "block_expm", "sparse_expm_multiply", "adaptive_rk"],
 )
 def test_trajectory_records_the_path_that_ran(spec, method, path):
     model = catalog_model(spec)
@@ -560,7 +686,8 @@ def test_trajectory_records_the_path_that_ran(spec, method, path):
 
 
 def test_sparse_propagation_leaves_the_global_random_state_alone():
-    model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.3, "dim": 24}))
+    model = catalog_model(ModelSpec("nonadiabatic_driven", {"dim": 24}))
+    assert lindblad._exact_path(model) == "sparse_expm_multiply"
     rho0 = DensityMatrix.from_state(coherent_state(0.6 - 0.4j, 24))
     np.random.seed(7)
     before = np.random.get_state()
@@ -653,6 +780,13 @@ def test_stationary_states_takes_one_svd(monkeypatch):
     model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.0}))
     assert len(stationary_states(model)) == 1
     assert len(calls) == 1
+
+
+def test_thermal_qubit_has_one_stationary_state_the_gibbs_state():
+    # excited level first: populations N/(2N+1) and (N+1)/(2N+1)
+    model = catalog_model(ModelSpec("thermal_qubit", {"N": 0.3}))
+    (state,) = stationary_states(model)
+    np.testing.assert_allclose(state.matrix, np.diag([0.1875, 0.8125]), rtol=0, atol=1e-12)
 
 
 def test_dephasing_null_space_dimension_two():
