@@ -43,8 +43,7 @@ the norm, the stationarity defect and every propagation path read it.  A
 model whose H and L are all diagonal acts entrywise, d rho_ij/dt =
 c_ij rho_ij, and stores vec(c) as the one diagonal of a sparse DIA array,
 which holds no index arrays; the entrywise path reads c back as a view of
-it.  Any other model stores the Kronecker sum as a sparse CSR array,
-assembled from index arithmetic without forming a Kronecker product.  The
+it.  Any other model stores the Kronecker sum as a sparse CSR array.  The
 nonzero-rate terms are held in one of two stacked forms.  ``_jumps`` holds
 rates (k,) and the jump operators as one (k, d, d) array; it feeds the
 generator of a non-diagonal model and, in ``ppsd``, every residual,
@@ -227,7 +226,7 @@ class LindbladModel:
         exactly 0: the formula leaves roundoff there (up to 1.4e-14), which
         exp(c t) amplifies to overflow at long horizons.  Any other model
         holds the Kronecker sum of the module docstring over the ``_jumps``
-        stack as a CSR array, assembled entry by entry (``_kronecker_sum``).
+        stack as a CSR array.
         """
         jumps = self._diagonal_jumps
         if jumps is not None:
@@ -240,7 +239,18 @@ class LindbladModel:
             c.setflags(write=False)
             n = self.dim**2
             return sparse.dia_array((c.reshape(1, n), [0]), shape=(n, n))
-        return _kronecker_sum(self.hamiltonian.matrix, *self._jumps)
+        eye = sparse.identity(self.dim, dtype=complex, format="csr")
+        h = sparse.csr_array(self.hamiltonian.matrix)
+        sup = -1j * (sparse.kron(h, eye, format="csr") - sparse.kron(eye, h.T, format="csr"))
+        for rate, L in zip(*self._jumps):
+            LdL = sparse.csr_array(L.conj().T @ L)
+            L = sparse.csr_array(L)
+            sup = sup + rate * (
+                sparse.kron(L, L.conj(), format="csr")
+                - 0.5 * sparse.kron(LdL, eye, format="csr")
+                - 0.5 * sparse.kron(eye, LdL.T, format="csr")
+            )
+        return sup
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -299,63 +309,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # generator construction and application
 # ---------------------------------------------------------------------------
-
-
-def _entries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, columns, values) of the nonzero entries of a matrix."""
-    i, k = np.nonzero(a)
-    return i, k, a[i, k]
-
-
-def _kron_entries(a, b, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, values) of kron(a, b) from the ``_entries`` of two d x d arrays.
-
-    The entry a_ik b_jl sits at row i d + j and column k d + l; its key is
-    row * d^2 + column.
-    """
-    (i, k, av), (j, l, bv) = a, b
-    rows = (i[:, None] * d + j).ravel()
-    cols = (k[:, None] * d + l).ravel()
-    return rows * d * d + cols, np.multiply.outer(av, bv).ravel()
-
-
-def _kronecker_sum(h: np.ndarray, rates: np.ndarray, L: np.ndarray) -> sparse.csr_array:
-    """The generator of (H, {gamma_k, L_k}) as a CSR array, from index arithmetic.
-
-    The stored entries are the union of the nonzero entries of the
-    Kronecker products of the module docstring.  Each entry is formed with
-    their arithmetic, -i (h_1 - h_2) + sum_k gamma_k ((a_k - b_k/2) - c_k/2)
-    with the terms in model order and 0 for a product that has no entry
-    there, so the array equals the sum of sparse Kronecker products bit
-    for bit.  Entries that come out exactly 0 are not stored: the pattern
-    is the generator's, and ``LindbladModel._blocks`` reads it.
-    """
-    d = h.shape[0]
-    n = d * d
-    eye = _entries(np.eye(d))
-    parts = [_kron_entries(_entries(h), eye, d), _kron_entries(eye, _entries(h.T), d)]
-    for Lk in L:
-        LdL = Lk.conj().T @ Lk
-        parts += [
-            _kron_entries(_entries(Lk), _entries(Lk.conj()), d),
-            _kron_entries(_entries(LdL), eye, d),
-            _kron_entries(eye, _entries(LdL.T), d),
-        ]
-    keys, slots = np.unique(np.concatenate([key for key, _ in parts]), return_inverse=True)
-    slots = np.split(slots, np.cumsum([key.size for key, _ in parts])[:-1])
-
-    def part(p: int) -> np.ndarray:
-        out = np.zeros(keys.size, dtype=complex)
-        out[slots[p]] = parts[p][1]
-        return out
-
-    value = -1j * (part(0) - part(1))
-    for t, rate in enumerate(rates):
-        value = value + rate * ((part(3 * t + 2) - 0.5 * part(3 * t + 3)) - 0.5 * part(3 * t + 4))
-    keep = value != 0
-    keys = keys[keep]
-    indptr = np.searchsorted(keys // n, np.arange(n + 1))
-    return sparse.csr_array((value[keep], keys % n, indptr), shape=(n, n))
 
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
@@ -482,12 +435,13 @@ def _propagate_blocks(model: LindbladModel, rho0: np.ndarray, times: np.ndarray)
     """exp(L t) vec(rho0) at every time, stepped block by block.
 
     E(h) = (+)_b exp(B_b h) over the invariant blocks B_b of the generator
-    (``LindbladModel._blocks``) is held as one CSR array, formed once per
-    distinct step h of ``_legs`` with one stacked ``expm`` call per block
-    size, and each step is vec(rho) <- E(h) vec(rho), a sparse product
-    whose sums run in a fixed order whatever the thread count.  A step
-    whose h ||L||_1 is not finite raises InvariantViolation before any
-    exponential is formed.
+    (``LindbladModel._blocks``) is held as one CSR array, formed with one
+    stacked ``expm`` call per block size whenever the step h of ``_legs``
+    changes; only the latest E(h) is kept, so memory does not grow with
+    the number of intervals.  Each step is vec(rho) <- E(h) vec(rho), a
+    sparse product whose sums run in a fixed order whatever the thread
+    count.  A step whose h ||L||_1 is not finite raises
+    InvariantViolation before any exponential is formed.
     """
     d = model.dim
     n = d * d
@@ -516,15 +470,15 @@ def _propagate_blocks(model: LindbladModel, rho0: np.ndarray, times: np.ndarray)
     take = np.argsort(perm[row], kind="stable")
     cols = perm[start[row] + np.arange(row.size) - row_start[row]][take]
     indptr = np.concatenate(([0], np.cumsum(size[pos])))
-    steps: dict[float, sparse.csr_array] = {}
+    step_h, step = None, None
     z = rho0.reshape(n)
     for h, q in legs:
-        if h > 0 and h not in steps:
+        if h > 0 and h != step_h:
             data = np.concatenate([expm(B * h).reshape(-1) for B in stacks])
-            steps[h] = sparse.csr_array((data[take], cols, indptr), shape=(n, n))
+            step_h, step = h, sparse.csr_array((data[take], cols, indptr), shape=(n, n))
         for _ in range(q):
             if h > 0:
-                z = steps[h] @ z
+                z = step @ z
             yield z.reshape(d, d)
 
 

@@ -1,23 +1,22 @@
 """Operator-flip mutation run over ``src/ppsd_lab/lindblad.py``.
 
-    python tests/mutation.py --sample 36 --seed 7
-    python tests/mutation.py --functions _kronecker_sum,_propagate_blocks --sample 0
+    python tests/mutation.py --sample 36
+    python tests/mutation.py --functions _legs,_propagate_blocks --sample 0
 
 Run by hand from the root of a checkout; the test suite does not collect
 it.  Standard library only (``ast``).  Each mutant flips one operator at
 one site: ``<`` and ``<=``, ``>`` and ``>=``, ``+`` and ``-``, ``*`` and
 ``/`` (comparisons, binary operators and augmented assignments).  The
-sites are drawn with ``random.Random(seed)``; ``--sample 0`` takes them
+sites are drawn with ``random.Random(SEED)``; ``--sample 0`` takes them
 all, and ``--functions`` keeps the sites inside the functions named.
 
 The checkout's ``src/``, ``tests/``, ``demos/`` and ``pyproject.toml`` are
-copied into a scratch directory (``--workdir``, a fresh temporary
-directory by default), and every mutant is written there by
-``ast.unparse``: the working tree is never edited.  The unmutated,
-unparsed module must pass first.  Each mutant then runs
+copied into a fresh temporary directory, and every mutant is written
+there by ``ast.unparse``: the working tree is never edited.  The
+unmutated, unparsed module must pass first.  Each mutant then runs
 ``pytest -x tests/test_lindblad.py tests/test_cli.py`` in the copy; it is
-killed when pytest fails or runs past ``--timeout``.  One line is printed
-per mutant, then the score.
+killed when pytest fails or runs past TIMEOUT seconds.  One line is
+printed per mutant, then the score.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TARGET = Path("src/ppsd_lab/lindblad.py")
 TESTS = ("tests/test_lindblad.py", "tests/test_cli.py")
+SEED = 7
+TIMEOUT = 600.0
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -81,12 +82,12 @@ def restore(node, slot, old) -> None:
         node.op = old
 
 
-def run_tests(copy: Path, timeout: float) -> bool:
+def run_tests(copy: Path) -> bool:
     """True when the suite passes in the copy."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
     try:
-        proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=timeout)
+        proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return proc.returncode == 0
@@ -95,10 +96,7 @@ def run_tests(copy: Path, timeout: float) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sample", type=int, default=36, help="mutants to run; 0 runs every site")
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--functions", help="comma-separated function names to restrict to")
-    parser.add_argument("--workdir", help="scratch directory for the copy (default: a temporary one)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
     args = parser.parse_args(argv)
 
     functions = set(args.functions.split(",")) if args.functions else None
@@ -106,34 +104,31 @@ def main(argv=None) -> int:
     candidates = sites(tree, functions)
     picks = range(len(candidates))
     if args.sample > 0:
-        picks = sorted(random.Random(args.seed).sample(picks, min(args.sample, len(picks))))
+        picks = sorted(random.Random(SEED).sample(picks, min(args.sample, len(picks))))
     chosen = [candidates[k] for k in picks]
     print(f"{len(chosen)} of {len(candidates)} sites", flush=True)
 
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="ppsd-mutation-"))
-    copy = workdir / "checkout"
-    shutil.rmtree(copy, ignore_errors=True)
-    for name in ("src", "tests", "demos"):
-        shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
-    target = copy / TARGET
+    with tempfile.TemporaryDirectory(prefix="ppsd-mutation-") as workdir:
+        copy = Path(workdir)
+        for name in ("src", "tests", "demos"):
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        target = copy / TARGET
 
-    target.write_text(ast.unparse(tree) + "\n")
-    if not run_tests(copy, args.timeout):
-        print("the unmutated, unparsed module fails the suite; no score", flush=True)
-        return 1
-    killed = 0
-    for node, slot, func in chosen:
-        old, label = flip(node, slot)
         target.write_text(ast.unparse(tree) + "\n")
-        restore(node, slot, old)
-        dead = not run_tests(copy, args.timeout)
-        killed += dead
-        print(f"line {node.lineno:4d} {func or '<module>'}: {label}: "
-              f"{'killed' if dead else 'SURVIVED'}", flush=True)
+        if not run_tests(copy):
+            print("the unmutated, unparsed module fails the suite; no score", flush=True)
+            return 1
+        killed = 0
+        for node, slot, func in chosen:
+            old, label = flip(node, slot)
+            target.write_text(ast.unparse(tree) + "\n")
+            restore(node, slot, old)
+            dead = not run_tests(copy)
+            killed += dead
+            print(f"line {node.lineno:4d} {func or '<module>'}: {label}: "
+                  f"{'killed' if dead else 'SURVIVED'}", flush=True)
     print(f"score: {killed}/{len(chosen)} killed", flush=True)
-    if args.workdir is None:
-        shutil.rmtree(workdir, ignore_errors=True)
     return 0
 
 

@@ -762,24 +762,24 @@ def test_simulate_d80_runs_the_exact_method_it_reports(capsys, monkeypatch):
 
 
 def test_check_builds_the_kronecker_sum_once(capsys, monkeypatch):
-    # the norm, the blocks and the propagation read one cached generator,
-    # assembled once
-    import ppsd_lab.lindblad as lindblad
+    # the norm, the blocks and the propagation read one cached generator:
+    # the Kronecker sum of H and two jump operators takes 2 + 2 * 3 products
+    from scipy import sparse
 
-    assemble, calls = lindblad._kronecker_sum, []
+    kron, calls = sparse.kron, []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return assemble(*args, **kwargs)
+        return kron(*args, **kwargs)
 
-    monkeypatch.setattr(lindblad, "_kronecker_sum", counted)
+    monkeypatch.setattr(sparse, "kron", counted)
     code, _, _ = run_cli(
         capsys,
         "ppsd-check", "--model", "damped_oscillator", "--param", "N=0.3",
         "--dim", "24", "--state", "coherent:0.5",
     )
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == 8
 
 
 @pytest.mark.filterwarnings("error")

@@ -557,7 +557,8 @@ def test_block_step_overflow_is_refused_before_any_exponential(monkeypatch):
 
 def test_block_path_forms_one_step_per_distinct_step(monkeypatch):
     # a uniform grid takes exp(L t0) and one exp(L h); each interval of a
-    # non-uniform grid takes its own, and a repeated step is formed once
+    # non-uniform grid takes its own, and a step equal to the last one
+    # formed is not formed again
     model = catalog_model(ModelSpec("three_level_atom", {}))
     n_sizes = np.unique(model._blocks[1]).size
     calls = []
@@ -574,6 +575,24 @@ def test_block_path_forms_one_step_per_distinct_step(monkeypatch):
         calls.clear()
         propagate(model, rho0, times)
         assert len(calls) == steps * n_sizes, times
+
+
+def test_block_path_memory_does_not_grow_with_intervals():
+    # every interval of a geometric grid is its own step; one E(h) of the
+    # damped d = 40 generator holds 42,680 complex entries (0.7 MB), so
+    # keeping each of the 99 would take about 70 MB
+    model = catalog_model(ModelSpec("damped_oscillator", {"N": 0.3, "dim": 40}))
+    rho0 = random_density(np.random.default_rng(40), 40)
+    path, states = lindblad.propagated_states(model, rho0, np.geomspace(1e-3, 10.0, 100))
+    assert path == "block_expm"
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 100
+    assert peak < 16 * 2**20
 
 
 def test_diagonal_propagation_never_builds_the_dissipator_table():
