@@ -86,9 +86,6 @@ from .ppsd import (
     zero_residual_subspaces,
 )
 
-REPRODUCE_TARGETS = ("eq3", "eq5", "eq16", "fig2", "fig3", "b13", "b16", "grw")
-
-
 def _check_t_max(t_max: float) -> None:
     if not (math.isfinite(t_max) and t_max > 0):
         raise PpsdLabError("t-max must be finite and > 0")
@@ -260,8 +257,10 @@ def resolve_state(token: str, model: LindbladModel, pure_required: bool = False)
     file:path.json.  "plus"/"minus" are the equal-weight superpositions of
     the first two basis vectors.  The rest follow ``model.basis``: "ground"
     is the second basis vector of a qubit basis (excited first) and the
-    first otherwise; fock and coherent states need a non-grid basis and
-    gaussian states a grid one, sampled at its points.
+    first otherwise; "excited" is the first vector of a qubit basis and
+    needs one; "vacuum" is "ground" and, like fock and coherent states,
+    needs a non-grid basis; gaussian states need a grid one, sampled at
+    its points.
     """
     d = model.dim
     on_grid = isinstance(model.basis, GridSpec)
@@ -274,11 +273,13 @@ def resolve_state(token: str, model: LindbladModel, pure_required: bool = False)
         amps[1] = inv if token == "plus" else -inv
         return StateVector(amps)
     if token == "excited":
+        if model.basis != "qubit":
+            raise PpsdLabError("excited is for qubit models; use basis:i")
         return StateVector.basis(d, 0)
-    if token == "ground":
+    if token == "ground" or token == "vacuum":
+        if on_grid and token == "vacuum":
+            raise PpsdLabError("vacuum is not for grid models; use basis:i")
         return StateVector.basis(d, 1 if model.basis == "qubit" else 0)
-    if token == "vacuum":
-        return StateVector.basis(d, 0)
     if token == "mixed":
         if pure_required:
             raise PpsdLabError("this command requires a pure state")
@@ -539,24 +540,26 @@ def _random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return DensityMatrix(rho / rho.trace().real)
 
 
+def _closed_form_check(model, exact, cases, column: str, tol: float, what: str):
+    """The check of eq3, eq5 and grw: per case (key, rho0, times) the row (key,
+    the largest entrywise error of the propagated states against exact(rho0, t)).
+    It fails, reporting the largest error as ``what``, unless each is below tol."""
+    rows = [(key, max(float(np.abs(st.matrix - exact(rho0, t).matrix).max())
+                      for t, st in zip(times, propagate(model, rho0, times).states)))
+            for key, rho0, times in cases]
+    worst = max(err for _, err in rows)
+    failures = [] if worst < tol else [f"{what} {worst:.3e} >= {tol:g}"]
+    return rows, (column, "max_error"), {"max_error": worst}, failures
+
+
 def _target_eq3():
     """Dephasing propagation against its entrywise decay law."""
     gamma = 1.0
     model = catalog_model(ModelSpec("dephasing_qubit", {"gamma": gamma}))
     rng = np.random.default_rng(2024)
-    times = np.linspace(0.0, 2.0, 9)
-    rows, worst = [], 0.0
-    for k in range(20):
-        rho0 = _random_density(rng, 2)
-        traj = propagate(model, rho0, times)
-        err = max(
-            float(np.abs(st.matrix - dephasing_closed_form(rho0, gamma, t).matrix).max())
-            for t, st in zip(times, traj.states)
-        )
-        worst = max(worst, err)
-        rows.append((k, err))
-    failures = [] if worst < 1e-9 else [f"max entrywise error {worst:.3e} >= 1e-9"]
-    return rows, ("initial_state", "max_error"), {"max_error": worst}, failures
+    cases = [(k, _random_density(rng, 2), np.linspace(0.0, 2.0, 9)) for k in range(20)]
+    return _closed_form_check(model, lambda rho0, t: dephasing_closed_form(rho0, gamma, t),
+                              cases, "initial_state", 1e-9, "max entrywise error")
 
 
 def _target_eq5():
@@ -567,15 +570,9 @@ def _target_eq5():
     x = grid.points
     psi = StateVector.normalized(np.exp(-(x**2) / (4 * 0.7**2)))
     rho0 = DensityMatrix.from_state(psi)
-    times = np.linspace(0.0, 1.0, 6)
-    traj = propagate(model, rho0, times)
-    rows, worst = [], 0.0
-    for t, st in zip(times, traj.states):
-        err = float(np.abs(st.matrix - position_closed_form(rho0, grid, gamma, t).matrix).max())
-        worst = max(worst, err)
-        rows.append((float(t), err))
-    failures = [] if worst < 1e-8 else [f"max error {worst:.3e} >= 1e-8"]
-    return rows, ("t", "max_error"), {"max_error": worst}, failures
+    cases = [(float(t), rho0, [t]) for t in np.linspace(0.0, 1.0, 6)]  # one row per time
+    return _closed_form_check(model, lambda rho0, t: position_closed_form(rho0, grid, gamma, t),
+                              cases, "t", 1e-8, "max error")
 
 
 def _target_eq16():
@@ -733,11 +730,8 @@ def _target_grw():
     x = grid.points
     psi = StateVector.normalized(np.exp(-(x**2) / (4 * 0.5**2)))
     rho0 = DensityMatrix.from_state(psi)
-    traj = propagate(model, rho0, [0.0, t])
-    expected = grw_closed_form(rho0, grid, lam, alpha, t)
-    err = float(np.abs(traj.states[-1].matrix - expected.matrix).max())
-    failures = [] if err < 1e-7 else [f"max error {err:.3e} >= 1e-7"]
-    return [(t, err)], ("t", "max_error"), {"max_error": err}, failures
+    return _closed_form_check(model, lambda rho0, t: grw_closed_form(rho0, grid, lam, alpha, t),
+                              [(t, rho0, [t])], "t", 1e-7, "max error")
 
 
 _TARGETS = {
@@ -750,6 +744,7 @@ _TARGETS = {
     "b16": _target_b16,
     "grw": _target_grw,
 }
+REPRODUCE_TARGETS = tuple(_TARGETS)
 
 
 def cmd_reproduce(args) -> int:

@@ -279,18 +279,17 @@ class LindbladModel:
 class Trajectory:
     """Times, propagated states, and their purities.
 
-    ``propagate`` also records how the states were computed: ``path`` names
-    the propagation path that ran ("entrywise", "block_expm",
-    "sparse_expm_multiply" or "adaptive_rk"), and ``trace_errors`` holds
-    |tr rho - 1| of each propagated state before the gate renormalised it,
-    the value the gate judged.  Both are None on a trajectory built
-    directly.
+    ``propagate`` builds it and records how the states were computed:
+    ``path`` names the propagation path that ran ("entrywise",
+    "block_expm", "sparse_taylor" or "adaptive_rk"), and ``trace_errors``
+    holds |tr rho - 1| of each propagated state before the gate
+    renormalised it, the value the gate judged.
     """
 
     times: np.ndarray
     states: tuple[DensityMatrix, ...]
-    path: str | None = None
-    trace_errors: np.ndarray | None = None
+    path: str
+    trace_errors: np.ndarray
     purities: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -300,10 +299,9 @@ class Trajectory:
         if len(self.states) != times.shape[0]:
             raise InvariantViolation("times and states must have equal length")
         object.__setattr__(self, "purities", np.array([purity(s) for s in self.states]))
-        if self.trace_errors is not None:
-            object.__setattr__(self, "trace_errors", np.asarray(self.trace_errors, dtype=float))
-            if self.trace_errors.shape[0] != times.shape[0]:
-                raise InvariantViolation("times and trace errors must have equal length")
+        object.__setattr__(self, "trace_errors", np.asarray(self.trace_errors, dtype=float))
+        if self.trace_errors.shape[0] != times.shape[0]:
+            raise InvariantViolation("times and trace errors must have equal length")
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +373,12 @@ def _check_times(times) -> np.ndarray:
 
 def _exact_path(model: LindbladModel) -> str:
     """The exact propagation path the model takes: "entrywise",
-    "block_expm" or "sparse_expm_multiply"."""
+    "block_expm" or "sparse_taylor"."""
     if model._diagonal_jumps is not None:
         return "entrywise"
     if np.sum(model._blocks[1].astype(float) ** 3) <= BLOCK_EXPM_MAX_WORK:
         return "block_expm"
-    return "sparse_expm_multiply"
+    return "sparse_taylor"
 
 
 def _propagate_exact(model: LindbladModel, rho0: np.ndarray, times: np.ndarray):
@@ -656,28 +654,34 @@ def _hermitian_null_basis(null_vectors: np.ndarray, dim: int) -> list[np.ndarray
     return basis
 
 
+def _null_space(model: LindbladModel) -> tuple[np.ndarray, float, np.ndarray]:
+    """(L, ||L||_2, null vectors) from one SVD of the dense generator L: the
+    right singular vectors, as columns, of the singular values below
+    NULL_SPACE_RTOL * ||L||_2, or every one when L = 0."""
+    sup = liouvillian_matrix(model)
+    _, s, vh = np.linalg.svd(sup)
+    norm2 = float(s[0])
+    null = (s < NULL_SPACE_RTOL * norm2) | (norm2 == 0.0)
+    return sup, norm2, vh[null].conj().T
+
+
 def stationary_states(model: LindbladModel) -> list[DensityMatrix]:
     """Density-matrix representatives of the generator's null space.
 
-    Singular vectors of the generator with singular value below
-    NULL_SPACE_RTOL * ||L||_2 span the stationary subspace; they are
-    recombined into Hermitian matrices and converted, where possible, to
+    The null vectors of ``_null_space`` span the stationary subspace; they
+    are recombined into Hermitian matrices and converted, where possible, to
     positive unit-trace representatives (trace-normalized elements plus
     positive/negative eigenparts).  Every returned state rho satisfies
     ||L vec(rho)|| < NULL_SPACE_RTOL * ||L||.  An empty list is returned,
     with a warning, only if no representative passes the checks.
     """
     d = model.dim
-    sup = liouvillian_matrix(model)
-    _, s, vh = np.linalg.svd(sup)
-    norm2 = float(s[0])
+    sup, norm2, null_vectors = _null_space(model)
     if norm2 == 0.0:
         return [DensityMatrix.maximally_mixed(d)]
-    null_mask = s < NULL_SPACE_RTOL * norm2
-    if not np.any(null_mask):
+    if not null_vectors.shape[1]:
         warnings.warn("no numerical null space detected for the generator")
         return []
-    null_vectors = vh[null_mask].conj().T
     basis = _hermitian_null_basis(null_vectors, d)
 
     def try_candidate(mat: np.ndarray) -> DensityMatrix | None:
@@ -709,11 +713,9 @@ def stationary_states(model: LindbladModel) -> list[DensityMatrix]:
 
 
 def null_space_dimension(model: LindbladModel) -> int:
-    """Number of singular values of the generator below NULL_SPACE_RTOL * ||L||_2."""
-    svals = np.linalg.svd(liouvillian_matrix(model), compute_uv=False)
-    if svals[0] == 0.0:
-        return model.dim**2
-    return int(np.sum(svals < NULL_SPACE_RTOL * svals[0]))
+    """Number of singular values of the generator below NULL_SPACE_RTOL *
+    ||L||_2, the null vectors of ``_null_space``; d^2 when L = 0."""
+    return _null_space(model)[2].shape[1]
 
 
 def is_unital(model: LindbladModel) -> bool:

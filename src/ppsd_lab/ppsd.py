@@ -78,14 +78,15 @@ class PpsdReport:
     pure path (just R(psi) when no path was integrated), ``consistency_gap``
     the largest trace distance between the nonlinear pure evolution and the
     master-equation evolution of the same initial projector, and
-    ``max_impurity`` the largest 1 - tr(rho^2) of the master-equation path.
+    ``max_impurity`` the largest 1 - tr(rho^2) of the master-equation path
+    (0 when no path was integrated).
     """
 
     residual: float
     state: StateVector
     consistency_gap: float
     verdict: str
-    max_impurity: float = 0.0
+    max_impurity: float
 
     def __post_init__(self):
         if self.residual < -1e-12:
@@ -371,9 +372,7 @@ def is_stationary_state(model: LindbladModel, psi) -> bool:
     return bool(defect < PPSD_RESIDUAL_RTOL * norm)
 
 
-def consistency_check(
-    model: LindbladModel, psi0, t_max: float, n_steps: int = 50
-) -> PpsdReport:
+def consistency_check(model: LindbladModel, psi0, t_max: float, n_steps: int) -> PpsdReport:
     """Give the pure state psi0 its verdict; the one routine that does.
 
     Stationarity is decided first (``is_stationary_state``): a fixed point
@@ -399,6 +398,7 @@ def consistency_check(
             state=psi0,
             consistency_gap=0.0,
             verdict=VERDICT_STATIONARY,
+            max_impurity=0.0,
         )
     times = np.linspace(0.0, float(t_max), int(n_steps) + 1)
     pure_path = evolve_pure_nonlinear(model, psi0, times)

@@ -1,7 +1,8 @@
-"""Operator-flip mutation run over ``src/ppsd_lab/lindblad.py``.
+"""Operator-flip mutation run over one module of ``src/ppsd_lab``.
 
     python tests/mutation.py --sample 36
     python tests/mutation.py --functions _legs,_propagate_blocks --sample 0
+    python tests/mutation.py --functions effective_hamiltonian,_central_difference --sample 0
 
 Run by hand from the root of a checkout; the test suite does not collect
 it.  Standard library only (``ast``).  Each mutant flips one operator at
@@ -9,14 +10,18 @@ one site: ``<`` and ``<=``, ``>`` and ``>=``, ``+`` and ``-``, ``*`` and
 ``/`` (comparisons, binary operators and augmented assignments).  The
 sites are drawn with ``random.Random(SEED)``; ``--sample 0`` takes them
 all, and ``--functions`` keeps the sites inside the functions named.
+The module mutated is the one that defines every function named (a list
+that no single module defines is refused), or ``lindblad.py`` without
+``--functions``.
 
 The checkout's ``src/``, ``tests/``, ``demos/`` and ``pyproject.toml`` are
 copied into a fresh temporary directory, and every mutant is written
 there by ``ast.unparse``: the working tree is never edited.  The
 unmutated, unparsed module must pass first.  Each mutant then runs
-``pytest -x tests/test_lindblad.py tests/test_cli.py`` in the copy; it is
-killed when pytest fails or runs past TIMEOUT seconds.  One line is
-printed per mutant, then the score.
+``pytest -x`` on the module's test file (``tests/test_ppsd.py`` for
+``ppsd.py``) and ``tests/test_cli.py`` in the copy; it is killed when
+pytest fails or runs past TIMEOUT seconds.  One line is printed per
+mutant, then the score.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TARGET = Path("src/ppsd_lab/lindblad.py")
-TESTS = ("tests/test_lindblad.py", "tests/test_cli.py")
+PACKAGE = Path("src/ppsd_lab")
+DEFAULT_TARGET = PACKAGE / "lindblad.py"
 SEED = 7
 TIMEOUT = 600.0
 FLIPS = {
@@ -82,10 +87,28 @@ def restore(node, slot, old) -> None:
         node.op = old
 
 
-def run_tests(copy: Path) -> bool:
-    """True when the suite passes in the copy."""
+def target_module(functions: set[str] | None) -> Path:
+    """The module that defines every function named; lindblad.py for None."""
+    if functions is None:
+        return DEFAULT_TARGET
+    defining = {}
+    for path in sorted((ROOT / PACKAGE).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        defining[PACKAGE / path.name] = functions & names
+    matches = [module for module, found in defining.items() if found == functions]
+    if len(matches) != 1:
+        where = {name: [m.name for m, found in defining.items() if name in found]
+                 for name in sorted(functions)}
+        sys.exit(f"--functions must name functions of one module; defined in: {where}")
+    return matches[0]
+
+
+def run_tests(copy: Path, tests: list[str]) -> bool:
+    """True when the tests pass in the copy."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
@@ -100,31 +123,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     functions = set(args.functions.split(",")) if args.functions else None
-    tree = ast.parse((ROOT / TARGET).read_text())
+    target = target_module(functions)
+    tests = list(dict.fromkeys([f"tests/test_{target.stem}.py", "tests/test_cli.py"]))
+    tree = ast.parse((ROOT / target).read_text())
     candidates = sites(tree, functions)
     picks = range(len(candidates))
     if args.sample > 0:
         picks = sorted(random.Random(SEED).sample(picks, min(args.sample, len(picks))))
     chosen = [candidates[k] for k in picks]
-    print(f"{len(chosen)} of {len(candidates)} sites", flush=True)
+    print(f"{target}: {len(chosen)} of {len(candidates)} sites; {' '.join(tests)}", flush=True)
 
     with tempfile.TemporaryDirectory(prefix="ppsd-mutation-") as workdir:
         copy = Path(workdir)
         for name in ("src", "tests", "demos"):
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
-        target = copy / TARGET
+        mutated = copy / target
 
-        target.write_text(ast.unparse(tree) + "\n")
-        if not run_tests(copy):
+        mutated.write_text(ast.unparse(tree) + "\n")
+        if not run_tests(copy, tests):
             print("the unmutated, unparsed module fails the suite; no score", flush=True)
             return 1
         killed = 0
         for node, slot, func in chosen:
             old, label = flip(node, slot)
-            target.write_text(ast.unparse(tree) + "\n")
+            mutated.write_text(ast.unparse(tree) + "\n")
             restore(node, slot, old)
-            dead = not run_tests(copy)
+            dead = not run_tests(copy, tests)
             killed += dead
             print(f"line {node.lineno:4d} {func or '<module>'}: {label}: "
                   f"{'killed' if dead else 'SURVIVED'}", flush=True)

@@ -112,6 +112,28 @@ def test_ground_of_a_two_level_fock_model_is_the_vacuum(capsys, name):
     assert out.splitlines()[-1] == "0.0,true,0.0,stationary_only"
 
 
+def test_excited_is_the_first_vector_of_a_qubit_basis():
+    model = catalog_model(ModelSpec("thermal_qubit"))
+    assert np.array_equal(resolve_state("excited", model).amplitudes, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["thermal_qubit", "depolarizing", "damped_oscillator",
+                                  "three_level_atom", "multimode"])
+def test_vacuum_is_the_ground_state_off_a_grid(name):
+    model = catalog_model(ModelSpec(name))
+    vacuum = resolve_state("vacuum", model).amplitudes
+    assert np.array_equal(vacuum, resolve_state("ground", model).amplitudes)
+    assert vacuum[1 if model.basis == "qubit" else 0] == 1.0
+
+
+def test_simulate_from_the_thermal_qubit_vacuum_starts_at_the_ground_level(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--model", "thermal_qubit", "--state", "vacuum",
+                           "--t-max", "1", "--steps", "2")
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert float(dict(zip(header, rows[0]))["n_z"]) == -1.0
+
+
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_grid_model_file_simulates_like_the_catalog_model(capsys, tmp_path, model):
     # every catalog model, grid or not, at its default size
@@ -350,6 +372,11 @@ def test_check_dimension_mismatch_exits_two(capsys, tmp_path):
         ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "gaussian:1e300,1"),
         ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "coherent:1"),
         ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "fock:3"),
+        ("--model", "position_decoherence", "--grid=-5,5,16", "--state", "vacuum"),
+        ("--model", "grw", "--grid=-5,5,16", "--state", "vacuum"),
+        ("--model", "three_level_atom", "--state", "excited"),
+        ("--model", "damped_oscillator", "--dim", "2", "--state", "excited"),
+        ("--model", "grw", "--grid=-5,5,16", "--state", "excited"),
         ("--model", "grw", "--grid=-5,5,64", "--dim", "10", "--state", "basis:3"),
     ],
     ids=lambda flags: " ".join(flags[1:]),
@@ -639,10 +666,10 @@ def test_simulate_exits_three_on_negativity_beyond_the_gate(capsys, monkeypatch,
         (("--model", "damped_oscillator", "--dim", "24", "--state", "coherent:0.5,0"),
          "block_expm"),
         (("--model", "nonadiabatic_driven", "--dim", "24", "--state", "coherent:0.5,0"),
-         "sparse_expm_multiply"),
+         "sparse_taylor"),
         (("--model", "thermal_qubit", "--method", "adaptive_rk"), "adaptive_rk"),
     ],
-    ids=["entrywise", "block_expm", "block_expm_d24", "sparse_expm_multiply", "adaptive_rk"],
+    ids=["entrywise", "block_expm", "block_expm_d24", "sparse_taylor", "adaptive_rk"],
 )
 def test_simulate_reports_the_propagation_path(capsys, argv, path):
     args = ("simulate", *argv, "--t-max", "0.5", "--steps", "4")
@@ -664,7 +691,7 @@ def test_simulate_reports_the_propagation_path(capsys, argv, path):
          "--t-max", "0.05", "--steps", "40"),
         ("--model", "thermal_qubit", "--method", "adaptive_rk", "--t-max", "0.5", "--steps", "4"),
     ],
-    ids=["entrywise", "block_expm", "sparse_expm_multiply", "adaptive_rk"],
+    ids=["entrywise", "block_expm", "sparse_taylor", "adaptive_rk"],
 )
 def test_simulate_streams_the_rows_of_the_propagated_trajectory(monkeypatch, argv):
     import ppsd_lab.cli as cli

@@ -345,7 +345,7 @@ def test_sparse_propagation_matches_dense_expm(spec):
     model = catalog_model(spec)
     d = model.dim
     taylor = spec.name == "nonadiabatic_driven"
-    assert lindblad._exact_path(model) == ("sparse_expm_multiply" if taylor else "block_expm")
+    assert lindblad._exact_path(model) == ("sparse_taylor" if taylor else "block_expm")
     rho0 = random_density(np.random.default_rng(d), d)
     step = expm(liouvillian_matrix(model) * STEP)
     oracle = [rho0.matrix.reshape(-1)]
@@ -363,7 +363,7 @@ def test_sparse_propagation_matches_dense_expm(spec):
 
 def test_sparse_propagation_ignores_the_global_random_state():
     model = catalog_model(ModelSpec("nonadiabatic_driven", {"dim": 24}))
-    assert lindblad._exact_path(model) == "sparse_expm_multiply"
+    assert lindblad._exact_path(model) == "sparse_taylor"
     rho0 = DensityMatrix.from_state(coherent_state(0.6 - 0.4j, 24))
     runs = []
     for seed in (0, 1, 2):
@@ -692,10 +692,10 @@ def test_entrywise_propagation_at_the_float_limit_keeps_only_the_populations(spe
         (ModelSpec("dephasing_qubit", {"gamma": 1.0}), "exact_exponential", "entrywise"),
         (ModelSpec("thermal_qubit", {"N": 0.3}), "exact_exponential", "block_expm"),
         (ModelSpec("nonadiabatic_driven", {"dim": 24}), "exact_exponential",
-         "sparse_expm_multiply"),
+         "sparse_taylor"),
         (ModelSpec("thermal_qubit", {"N": 0.3}), "adaptive_rk", "adaptive_rk"),
     ],
-    ids=["entrywise", "block_expm", "sparse_expm_multiply", "adaptive_rk"],
+    ids=["entrywise", "block_expm", "sparse_taylor", "adaptive_rk"],
 )
 def test_trajectory_records_the_path_that_ran(spec, method, path):
     model = catalog_model(spec)
@@ -706,7 +706,7 @@ def test_trajectory_records_the_path_that_ran(spec, method, path):
 
 def test_sparse_propagation_leaves_the_global_random_state_alone():
     model = catalog_model(ModelSpec("nonadiabatic_driven", {"dim": 24}))
-    assert lindblad._exact_path(model) == "sparse_expm_multiply"
+    assert lindblad._exact_path(model) == "sparse_taylor"
     rho0 = DensityMatrix.from_state(coherent_state(0.6 - 0.4j, 24))
     np.random.seed(7)
     before = np.random.get_state()

@@ -441,6 +441,21 @@ def test_stacked_pure_flow_matches_term_by_term_reference(spec):
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: s.name)
+def test_pure_flow_rhs_is_the_effective_hamiltonian_flow(spec):
+    # at an unnormalised y the RHS is -i H_eff(u) y + R(u) y, u = y / |y|:
+    # the ray follows H_eff and the counterterm R cancels the norm decay
+    model = catalog_model(spec)
+    y = 2.5 * random_state(np.random.default_rng(23), model.dim).amplitudes
+    u = y / np.linalg.norm(y)
+    heff = effective_hamiltonian(model, u).matrix
+    expected = -1j * heff @ y + ppsd_residual(model, u) * y
+    got = ppsd._pure_flow_rhs(model)(0.0, y)
+    # absolute: on depolarizing the RHS is 0 to roundoff
+    bound = 1e-13 * (np.linalg.norm(heff, 2) + residual_scale(model)) * np.linalg.norm(y)
+    assert np.abs(got - expected).max() <= bound
+
+
 def _refuse_the_jump_stack(monkeypatch):
     def refuse(_model):
         raise AssertionError("dense jump stack built")
@@ -493,7 +508,7 @@ def test_diagonal_pure_flow_never_reads_the_dissipator_table(monkeypatch):
 
 def test_consistency_dephasing_superposition_no_ppsd():
     model = catalog_model(DEPHASING)
-    report = consistency_check(model, StateVector.normalized([1.0, 1.0]), t_max=1.0)
+    report = consistency_check(model, StateVector.normalized([1.0, 1.0]), t_max=1.0, n_steps=50)
     assert report.verdict == "no_ppsd"
     assert not report.is_stationary
     # master-equation path loses purity down to (1 + e^{-4})/2 at t = 1
@@ -505,7 +520,7 @@ def test_consistency_dephasing_superposition_no_ppsd():
 
 def test_consistency_stationary_state():
     model = catalog_model(DEPHASING)
-    report = consistency_check(model, StateVector.basis(2, 0), t_max=1.0)
+    report = consistency_check(model, StateVector.basis(2, 0), t_max=1.0, n_steps=50)
     assert report.verdict == "stationary_only"
     assert report.is_stationary
     assert report.consistency_gap < 1e-8
@@ -540,7 +555,7 @@ def test_consistency_check_reports_a_stationary_state_without_integrating(monkey
     monkeypatch.setattr(ppsd, "evolve_pure_nonlinear", refuse)
     monkeypatch.setattr(ppsd, "propagate", refuse)
     model = catalog_model(ModelSpec("thermal_qubit", {"gamma0": 1.0, "N": 0.0}))
-    report = consistency_check(model, StateVector.basis(2, 1), t_max=1.0)
+    report = consistency_check(model, StateVector.basis(2, 1), t_max=1.0, n_steps=50)
     assert report.verdict == "stationary_only" and report.is_stationary
     assert report.consistency_gap == 0.0
 
@@ -1015,6 +1030,18 @@ def test_unraveling_single_trajectory_matches_consistency_semantics():
     # the defect rate of the single-trajectory candidate is the purity-loss
     # rate R along the path (both equal gamma here)
     assert res == pytest.approx(report.residual, rel=1e-6)
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+def test_unraveling_check_scales_the_weight_derivative_on_a_non_uniform_grid(t0):
+    # the stationary projectors carry weights (1 +- e^-t)/2, so the mismatch
+    # is the weights' derivative alone, largest at the first interior time
+    model = catalog_model(DEPHASING)
+    times = t0 + np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.8])
+    p0 = 0.5 * (1.0 + np.exp(-times))
+    trajs = [[StateVector.basis(2, k)] * len(times) for k in range(2)]
+    res = unraveling_check(model, np.array([p0, 1.0 - p0]), trajs, times)
+    assert res == pytest.approx(0.5 * math.exp(-times[1]), abs=2e-3)
 
 
 def test_unraveling_validates_weights_and_grid():
